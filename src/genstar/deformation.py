@@ -55,10 +55,6 @@ class DeformationParams:
     phi12: complex
     phi22: complex
 
-    @property
-    def phi21(self) -> complex:
-        return self.phi12
-
     def is_moyal(self) -> bool:
         return self.phi11 == 0 and self.phi12 == 0 and self.phi22 == 0
 

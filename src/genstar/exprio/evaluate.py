@@ -22,7 +22,7 @@ class EvaluationError(EngineError):
     """An expression parses but does not denote a supported value."""
 
 
-def _kind(v: Value) -> str:
+def value_kind(v: Value) -> str:
     if isinstance(v, Polynomial2):
         return "polynomial"
     if isinstance(v, WaveSum):
@@ -73,7 +73,7 @@ def _pow(a: Value, n: int) -> Value:
     return out
 
 
-def _star(a: Value, b: Value, params: DeformationParams, frame: str | None) -> Value:
+def _star(a: Value, b: Value, params: DeformationParams) -> Value:
     # a constant stars trivially: the derivative side acting on it vanishes
     if isinstance(a, complex) or isinstance(b, complex):
         return _mul(a, b)
@@ -84,7 +84,7 @@ def _star(a: Value, b: Value, params: DeformationParams, frame: str | None) -> V
     raise EvaluationError("cannot star a polynomial with an exponential sum")
 
 
-def _exp_value(arg: Value, frame: str | None) -> Value:
+def _exp_value(arg: Value) -> Value:
     if isinstance(arg, complex):
         return cmath.exp(arg)
     if not isinstance(arg, Polynomial2):
@@ -101,29 +101,27 @@ def _exp_value(arg: Value, frame: str | None) -> Value:
     return WaveSum.z_exponential(l1, l2, amplitude=amp)
 
 
-def _eval(node: Node, frame: str | None, params: DeformationParams) -> Value:
+def _eval(node: Node, params: DeformationParams) -> Value:
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return Polynomial2.variable(node.name)
     if isinstance(node, Neg):
-        return -_eval(node.arg, frame, params)
+        return -_eval(node.arg, params)
     if isinstance(node, Add):
-        return _add(_eval(node.left, frame, params), _eval(node.right, frame, params))
+        return _add(_eval(node.left, params), _eval(node.right, params))
     if isinstance(node, Sub):
-        right = _eval(node.right, frame, params)
+        right = _eval(node.right, params)
         right = -right
-        return _add(_eval(node.left, frame, params), right)
+        return _add(_eval(node.left, params), right)
     if isinstance(node, Mul):
-        return _mul(_eval(node.left, frame, params), _eval(node.right, frame, params))
+        return _mul(_eval(node.left, params), _eval(node.right, params))
     if isinstance(node, Pow):
-        return _pow(_eval(node.base, frame, params), node.exponent)
+        return _pow(_eval(node.base, params), node.exponent)
     if isinstance(node, Star):
-        return _star(
-            _eval(node.left, frame, params), _eval(node.right, frame, params), params, frame
-        )
+        return _star(_eval(node.left, params), _eval(node.right, params), params)
     if isinstance(node, Exp):
-        return _exp_value(_eval(node.arg, frame, params), frame)
+        return _exp_value(_eval(node.arg, params))
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -133,8 +131,4 @@ def evaluate_expression(expr: Expression, params: DeformationParams) -> Value:
     The star operator dispatches to star_poly or star_wave; constants
     absorb trivially on either side.
     """
-    return _eval(expr.root, expr.frame, params)
-
-
-def value_kind(v: Value) -> str:
-    return _kind(v)
+    return _eval(expr.root, params)

@@ -80,9 +80,6 @@ class FockOp:
         self._check(other)
         return FockOp(self.dim, self.matrix @ other.matrix - other.matrix @ self.matrix)
 
-    def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
 
 @dataclass(frozen=True)
 class FockVec:
@@ -100,9 +97,6 @@ class FockVec:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "components", v)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
 
 
 def ladder_ops(dim: int) -> tuple[FockOp, FockOp]:
@@ -164,8 +158,8 @@ class QuantumOps:
 
     Positions act by left multiplication, momenta adjointly:
     P1 psi = (1/theta)[x2, psi], P2 psi = -(1/theta)[x1, psi], and the
-    complex combinations act as P psi = -i sqrt(2/theta)[b, psi],
-    Pdd psi = i sqrt(2/theta)[bdag, psi].  hbar = 1.
+    complex combination acts as P psi = -i sqrt(2/theta)[b, psi].  B is
+    left multiplication by b.  hbar = 1.
     """
 
     theta: float
@@ -201,21 +195,11 @@ class QuantumOps:
         self._check(psi)
         return FockOp(self.dim, self.b.matrix @ psi.matrix)
 
-    def Bdd(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        return FockOp(self.dim, self.bdag.matrix @ psi.matrix)
-
     def P(self, psi: FockOp) -> FockOp:
         self._check(psi)
         m = psi.matrix
         c = -1j * math.sqrt(2.0 / self.theta)
         return FockOp(self.dim, c * (self.b.matrix @ m - m @ self.b.matrix))
-
-    def Pdd(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        m = psi.matrix
-        c = 1j * math.sqrt(2.0 / self.theta)
-        return FockOp(self.dim, c * (self.bdag.matrix @ m - m @ self.bdag.matrix))
 
 
 def quantum_ops(params: DeformationParams, dim: int) -> QuantumOps:

@@ -322,6 +322,15 @@ def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     return Polynomial2(acc, CARTESIAN)
 
 
+def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> float:
+    """max |T(f *_M g) - T(f) * T(g)| over coefficients; the polynomial
+    counterpart of wavestar.equivalence_residual, zero for every symmetric
+    Phi up to rounding."""
+    lhs = tmap_poly(star_poly(f, g, params.moyal()), params)
+    rhs = star_poly(tmap_poly(f, params), tmap_poly(g, params), params)
+    return lhs.max_diff(rhs)
+
+
 def xhat_apply(mu: int, f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """Action of the deformed coordinate operator:
     x_mu f + (i/2)(Theta + Phi)_{mu,alpha} d_alpha f."""

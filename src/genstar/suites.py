@@ -22,13 +22,8 @@ from .fockspace import (
     overlap_vs_closedform,
     quantum_ops,
 )
-from .polystar import Polynomial2, star_commutator, star_poly, tmap_poly
-from .wavestar import (
-    WaveSum,
-    coherent_roi_amplitude,
-    equivalence_residual,
-    position_roi_amplitude,
-)
+from .polystar import Polynomial2, poly_equivalence_residual, star_commutator, star_poly
+from .wavestar import WaveSum, coherent_roi_amplitude, equivalence_residual, roi_diagonal
 
 SUITE_NAMES = ("algebra", "equivalence", "roi", "fock")
 
@@ -177,9 +172,7 @@ def equivalence_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
         params = random_params(rng)
         f = random_polynomial(rng)
         g = random_polynomial(rng)
-        lhs = tmap_poly(star_poly(f, g, params.moyal()), params)
-        rhs = star_poly(tmap_poly(f, params), tmap_poly(g, params), params)
-        worst_poly = max(worst_poly, lhs.max_diff(rhs))
+        worst_poly = max(worst_poly, poly_equivalence_residual(f, g, params))
 
     worst_moyal = worst_voros = 0.0
     for theta in (0.1, 0.5, 1.0, 2.0):
@@ -225,10 +218,8 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
 
     moyal = preset_params("moyal", 1.0)
     worst_pos_moyal = 0.0
-    for p1 in grid:
-        for p2 in grid:
-            amp = position_roi_amplitude(moyal, (p1, p2), (p1, p2))
-            worst_pos_moyal = max(worst_pos_moyal, abs(amp - 1.0))
+    for _, _, amp in roi_diagonal("position", moyal, grid):
+        worst_pos_moyal = max(worst_pos_moyal, abs(amp - 1.0))
 
     non_moyal = (
         make_params(1.0, phi11=0.2, phi22=0.2),
@@ -239,29 +230,23 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
     least_deviation = math.inf
     for params in non_moyal:
         dev = 0.0
-        for p1 in grid:
-            for p2 in grid:
-                amp = position_roi_amplitude(params, (p1, p2), (p1, p2))
-                predicted = cmath.exp(0.5j * params.phi_quadratic(p1, p2))
-                worst_pos_generic = max(worst_pos_generic, abs(amp - predicted))
-                dev = max(dev, abs(amp - 1.0))
+        for p1, p2, amp in roi_diagonal("position", params, grid):
+            predicted = cmath.exp(0.5j * params.phi_quadratic(p1, p2))
+            worst_pos_generic = max(worst_pos_generic, abs(amp - predicted))
+            dev = max(dev, abs(amp - 1.0))
         least_deviation = min(least_deviation, dev)
 
     voros = preset_params("voros", 1.0)
     worst_coh_voros = 0.0
-    for p1 in grid:
-        for p2 in grid:
-            p = complex(p1, p2)
-            worst_coh_voros = max(worst_coh_voros, abs(coherent_roi_amplitude(voros, p, p) - 1.0))
+    for _, _, amp in roi_diagonal("coherent", voros, grid):
+        worst_coh_voros = max(worst_coh_voros, abs(amp - 1.0))
 
     worst_coh_moyal = 0.0
-    for p1 in grid:
-        for p2 in grid:
-            p = complex(p1, p2)
-            amp = coherent_roi_amplitude(moyal, p, p)
-            worst_coh_moyal = max(
-                worst_coh_moyal, abs(amp - math.exp(-moyal.theta * abs(p) ** 2 / 2.0))
-            )
+    for p1, p2, amp in roi_diagonal("coherent", moyal, grid):
+        p = complex(p1, p2)
+        worst_coh_moyal = max(
+            worst_coh_moyal, abs(amp - math.exp(-moyal.theta * abs(p) ** 2 / 2.0))
+        )
 
     worst_hope = 0.0
     for _ in range(50):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import DeformationParams, complex_coefficients, kernel_phase
+from .deformation import DeformationParams, _finite_complex, complex_coefficients, kernel_phase
 from .errors import (
     DivergentIntegralError,
     FrameMismatchError,
@@ -32,13 +32,6 @@ AMP_TOL = 1e-14
 
 #: wavevectors closer than this are considered equal when merging/matching
 WVEC_TOL = 1e-9
-
-
-def _finite(value, what: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
-    return z
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,10 @@ class ExpLinearTerm:
     def __post_init__(self):
         if self.frame not in FRAMES:
             raise ValidationError(f"unknown frame {self.frame!r}")
-        amp = _finite(self.amplitude, "amplitude")
+        amp = _finite_complex("amplitude", self.amplitude)
         k = (
-            _finite(self.wavevector[0], "wavevector[0]"),
-            _finite(self.wavevector[1], "wavevector[1]"),
+            _finite_complex("wavevector[0]", self.wavevector[0]),
+            _finite_complex("wavevector[1]", self.wavevector[1]),
         )
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "wavevector", k)
@@ -270,27 +263,35 @@ class DeltaTerm:
     freq: tuple[float, float]
 
 
-def plane_integral_cartesian(f: WaveSum, imag_tol: float = 1e-10) -> list[DeltaTerm]:
-    """Integral over the (x1, x2) plane: A exp(i k.x) -> (2 pi)^2 A delta2(k).
+def _single_term(f: WaveSum, name: str) -> ExpLinearTerm:
+    if len(f.terms) != 1:
+        raise ValidationError(
+            f"{name} needs a one-term sum, got {len(f.terms)} terms (an amplitude that "
+            f"underflows to |amplitude| <= AMP_TOL = {AMP_TOL:g} is dropped)"
+        )
+    return f.terms[0]
+
+
+def plane_integral_cartesian(f: WaveSum, imag_tol: float = 1e-10) -> DeltaTerm:
+    """Integral over the (x1, x2) plane of a one-term sum:
+    A exp(i k.x) -> (2 pi)^2 A delta2(k).
 
     A wavevector with a nonzero imaginary part makes the integral divergent
     and raises, never silently limits.
     """
     if f.frame != CARTESIAN:
         raise FrameMismatchError("plane_integral_cartesian expects a cartesian sum")
-    out = []
-    for t in f.terms:
-        k1, k2 = t.wavevector
-        if abs(k1.imag) > imag_tol or abs(k2.imag) > imag_tol:
-            raise DivergentIntegralError(
-                f"plane integral of exp(i k.x) diverges for complex k = {t.wavevector!r}"
-            )
-        out.append(DeltaTerm(t.amplitude * TWO_PI**2, (k1.real, k2.real)))
-    return out
+    t = _single_term(f, "plane_integral_cartesian")
+    k1, k2 = t.wavevector
+    if abs(k1.imag) > imag_tol or abs(k2.imag) > imag_tol:
+        raise DivergentIntegralError(
+            f"plane integral of exp(i k.x) diverges for complex k = {t.wavevector!r}"
+        )
+    return DeltaTerm(t.amplitude * TWO_PI**2, (k1.real, k2.real))
 
 
-def plane_integral_z(f: WaveSum, imag_tol: float = 1e-10) -> list[DeltaTerm]:
-    """Integral (1/pi) d(Re z) d(Im z) of A exp(a z + b zbar).
+def plane_integral_z(f: WaveSum, imag_tol: float = 1e-10) -> DeltaTerm:
+    """Integral (1/pi) d(Re z) d(Im z) of a one-term sum A exp(a z + b zbar).
 
     Writing z = u + iv the exponent is (a+b)u + i(a-b)v, which is
     oscillatory only when a+b is purely imaginary and a-b is real; the
@@ -298,17 +299,15 @@ def plane_integral_z(f: WaveSum, imag_tol: float = 1e-10) -> list[DeltaTerm]:
     """
     if f.frame != COMPLEX:
         raise FrameMismatchError("plane_integral_z expects a complex-frame sum")
-    out = []
-    for t in f.terms:
-        a, b = t.wavevector
-        u_freq = -1j * (a + b)  # exponent along Re z is i * u_freq
-        v_freq = a - b  # exponent along Im z is i * v_freq
-        if abs(u_freq.imag) > imag_tol or abs(v_freq.imag) > imag_tol:
-            raise DivergentIntegralError(
-                f"plane integral of exp(a z + b zbar) diverges for (a, b) = {t.wavevector!r}"
-            )
-        out.append(DeltaTerm(t.amplitude * 4.0 * math.pi, (u_freq.real, v_freq.real)))
-    return out
+    t = _single_term(f, "plane_integral_z")
+    a, b = t.wavevector
+    u_freq = -1j * (a + b)  # exponent along Re z is i * u_freq
+    v_freq = a - b  # exponent along Im z is i * v_freq
+    if abs(u_freq.imag) > imag_tol or abs(v_freq.imag) > imag_tol:
+        raise DivergentIntegralError(
+            f"plane integral of exp(a z + b zbar) diverges for (a, b) = {t.wavevector!r}"
+        )
+    return DeltaTerm(t.amplitude * 4.0 * math.pi, (u_freq.real, v_freq.real))
 
 
 # -- state overlaps and resolution-of-identity amplitudes ----------------
@@ -334,8 +333,8 @@ def position_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     q1, q2 = float(pprime[0]), float(pprime[1])
     bra = WaveSum.plane_wave(-p1, -p2, amplitude=1.0 / TWO_PI)  # (p|x) as a function of x
     ket = WaveSum.plane_wave(q1, q2, amplitude=1.0 / TWO_PI)  # (x|p')
-    deltas = plane_integral_cartesian(star_wave(bra, ket, params))
-    return deltas[0].amplitude  # the (2 pi)^2 delta weight cancels the 1/(2 pi)^2 prefactors
+    delta = plane_integral_cartesian(star_wave(bra, ket, params))
+    return delta.amplitude  # the (2 pi)^2 delta weight cancels the 1/(2 pi)^2 prefactors
 
 
 def coherent_momentum_overlap(z, p, theta) -> complex:
@@ -376,9 +375,25 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     ket = WaveSum.z_exponential(
         1j * s * p.conjugate(), 1j * s * p, amplitude=pref * cmath.exp(-t * abs(p) ** 2 / 4.0)
     )
-    deltas = plane_integral_z(star_wave(bra, ket, params))
+    delta = plane_integral_z(star_wave(bra, ket, params))
     # delta(2s(p1-p1')) delta(2s(p2-p2')) = delta2(p - p') / (2 theta)
-    return deltas[0].amplitude / (2.0 * t)
+    return delta.amplitude / (2.0 * t)
+
+
+def roi_diagonal(which: str, params: DeformationParams, values) -> list[tuple]:
+    """(p1, p2, amp) over the grid values x values, p1 outermost: amp is the
+    diagonal (p = p') RoI amplitude of the states that which names, position
+    or coherent; the identity is resolved where amp = 1."""
+    if which == "position":
+        def amplitude(p1, p2):
+            return position_roi_amplitude(params, (p1, p2), (p1, p2))
+    elif which == "coherent":
+        def amplitude(p1, p2):
+            p = complex(p1, p2)
+            return coherent_roi_amplitude(params, p, p)
+    else:
+        raise ValidationError(f"unknown state family {which!r}; expected position or coherent")
+    return [(p1, p2, amplitude(p1, p2)) for p1 in values for p2 in values]
 
 
 # -- quadratic-form kernel amplitudes ------------------------------------
@@ -406,7 +421,7 @@ class KernelAmplitude:
         q = 0.5 * (q + q.T)
         q.setflags(write=False)
         object.__setattr__(self, "quad", q)
-        object.__setattr__(self, "constant", _finite(self.constant, "constant"))
+        object.__setattr__(self, "constant", _finite_complex("constant", self.constant))
 
     def evaluate(self, p, pprime) -> complex:
         x = np.array([p[0], p[1], pprime[0], pprime[1]], dtype=complex)

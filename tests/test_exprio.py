@@ -1,6 +1,7 @@
 """Expression front end, scenario runner, report emitter, CLI."""
 
 import cmath
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,21 @@ from genstar.exprio import (
 from genstar.exprio.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+#: sha256 of emit_report(run_scenario(parse_scenario(text, name=<file name>)), fmt)
+#: for the golden scenarios, pinned so that no refactor moves a golden report
+#: by a single byte (recorded with CPython 3.11 and numpy on x86-64 Linux)
+GOLDEN_SHA256 = {
+    ("generic_phi_finding.scn", "json"): "f3024c457f40e67a1ddb4e3fe0d25c6654a1e30416d5b12fe79bad6137f4753a",
+    ("generic_phi_finding.scn", "csv"): "cf15bdd5cba38993cbedab2540b7c59e26b0098c56245f05956e8f53addcda94",
+    ("generic_phi_finding.scn", "text"): "bd9cb45752b8a850880d8fb8d9850bf0bb0dd4038b135e23b2dd62883cbc2812",
+    ("moyal_position_pass.scn", "json"): "37ad035160afaaa764c0c809766b0c607f1136052b9290fa354549508dda93d6",
+    ("moyal_position_pass.scn", "csv"): "c37b8ab14563b018f3937bce6b4fe675544c75fa9c4ac859cf38f86e2d075cc1",
+    ("moyal_position_pass.scn", "text"): "12b97aede59ae2efe05be3f49ffc79defa477a21943943799b7f42fed626b056",
+    ("voros_coherent_pass.scn", "json"): "2a789a865054807261c49cb604458fd582d9be3999836f4f6dbf942712566e2c",
+    ("voros_coherent_pass.scn", "csv"): "d3532cd680e0d79d6810cc36dffdb70d0a6fbdfc4426c82e4edb89930528ecf5",
+    ("voros_coherent_pass.scn", "text"): "5f875ef5abc24a2387fbf924c3e7f2f2aa22369a33613d826eea657e42c537f5",
+}
 
 # round-trip corpus: parse -> pretty -> parse must reproduce the AST
 CORPUS = [
@@ -321,6 +337,13 @@ def test_json_reports_are_byte_identical_for_fixed_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_SHA256))
+def test_golden_report_bytes_are_pinned(name, fmt):
+    text = (SCENARIO_DIR / name).read_text(encoding="utf-8")
+    payload = emit_report(run_scenario(parse_scenario(text, name=name)), fmt)
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN_SHA256[(name, fmt)]
+
+
 def test_timings_are_suppressed_by_default():
     report = run_scenario(parse_scenario('task eval expr="x1"'))
     doc = json.loads(emit_report(report, "json").decode())
@@ -402,6 +425,26 @@ def test_cli_run_writes_identical_bytes(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "task position-roi grid=-1:1:3 tol=abc",
+        "seed = x",
+        "theta = one",
+        "trials = 2.5",
+        "task fock-check n=many",
+        'task equivalence f="x1" g="x2" tol=small',
+    ],
+)
+def test_cli_run_unparsable_number_is_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.scn"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ")
+    assert "is not a valid" in err
+
+
 def test_cli_verify_single_suite(capsys):
     assert main(["verify", "--suite", "roi", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -423,6 +466,15 @@ def test_cli_kernel_finding_exit_code(capsys):
     code = main(["kernel", "coherent", "--preset", "moyal", "--grid=-1:1:3", "--format", "text"])
     capsys.readouterr()
     assert code == 1  # coherent states do not resolve the identity under Moyal
+
+
+def test_cli_kernel_amplitude_underflow_is_error(capsys):
+    # at |p| = 20 the coherent-state amplitudes fall below AMP_TOL
+    code = main(["kernel", "coherent", "--preset", "voros", "--grid=-20:20:5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "AMP_TOL" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_module_entry_point_runs():

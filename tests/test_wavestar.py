@@ -11,6 +11,7 @@ from genstar import (
     FrameMismatchError,
     Polynomial2,
     SingularParameterError,
+    ValidationError,
     WaveSum,
     coherent_momentum_overlap,
     coherent_roi_amplitude,
@@ -30,6 +31,7 @@ from genstar import (
     tmap_wave,
 )
 from genstar.suites import random_params, random_wavesum
+from genstar.wavestar import AMP_TOL, roi_diagonal
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,9 +183,8 @@ def test_equivalence_residual_generic_phi():
 
 def test_plane_integral_cartesian_records_delta_weight():
     out = plane_integral_cartesian(WaveSum.plane_wave(0.5, -1.0, 2.0))
-    assert len(out) == 1
-    assert out[0].amplitude == pytest.approx(2.0 * TWO_PI**2)
-    assert out[0].freq == (0.5, -1.0)
+    assert out.amplitude == pytest.approx(2.0 * TWO_PI**2)
+    assert out.freq == (0.5, -1.0)
 
 
 def test_plane_integral_cartesian_rejects_complex_wavevector():
@@ -195,10 +196,29 @@ def test_plane_integral_z_oscillatory_and_divergent():
     # exp(a z + b zbar) with b = -conj(a) is oscillatory
     a = 0.4 + 0.9j
     out = plane_integral_z(WaveSum.z_exponential(a, -a.conjugate(), 1.5))
-    assert len(out) == 1
-    assert out[0].amplitude == pytest.approx(1.5 * 4.0 * math.pi)
+    assert out.amplitude == pytest.approx(1.5 * 4.0 * math.pi)
     with pytest.raises(DivergentIntegralError):
         plane_integral_z(WaveSum.z_exponential(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "integral, wave",
+    [(plane_integral_cartesian, WaveSum.plane_wave), (plane_integral_z, WaveSum.z_exponential)],
+)
+def test_plane_integrals_take_exactly_one_term(integral, wave):
+    # an amplitude at or below AMP_TOL is dropped on construction: zero terms
+    underflowed = wave(0.5j, 0.5j, amplitude=AMP_TOL / 2)
+    assert underflowed.is_zero
+    with pytest.raises(ValidationError, match="got 0 terms.*AMP_TOL"):
+        integral(underflowed)
+    with pytest.raises(ValidationError, match="got 2 terms"):
+        integral(wave(0.5j, 0.5j) + wave(1j, -1j))
+
+
+def test_roi_amplitude_underflow_is_a_validation_error():
+    # exp(-theta |p|^2 / 4) at |p| = 20 is far below AMP_TOL
+    with pytest.raises(ValidationError, match="AMP_TOL"):
+        coherent_roi_amplitude(preset_params("voros", 1.0), 20 + 0j, 20 + 0j)
 
 
 # -- overlaps -----------------------------------------------------------------
@@ -277,6 +297,20 @@ def test_position_roi_kernel_matches_amplitude():
         q = rng.uniform(-2, 2, 2)
         assert abs(kern.evaluate(p, q) - position_roi_amplitude(params, p, q)) < 1e-12
     assert kern.diagonal_only
+
+
+def test_roi_diagonal_walks_the_grid_p1_outermost():
+    params = make_params(1.0, 0.2, 0.1 - 0.3j, 0.4j)
+    values = [-1.0, 0.5, 2.0]
+    got = roi_diagonal("position", params, values)
+    assert [(p1, p2) for p1, p2, _ in got] == [(a, b) for a in values for b in values]
+    for p1, p2, amp in got:
+        assert amp == position_roi_amplitude(params, (p1, p2), (p1, p2))
+    for p1, p2, amp in roi_diagonal("coherent", params, values):
+        p = complex(p1, p2)
+        assert amp == coherent_roi_amplitude(params, p, p)
+    with pytest.raises(ValidationError, match="state family"):
+        roi_diagonal("momentum", params, values)
 
 
 # -- coherent-state kernel ----------------------------------------------------
