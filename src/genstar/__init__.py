@@ -9,12 +9,12 @@ position-like and coherent states, and truncated Fock-space cross-checks.
 """
 
 from .deformation import (
-    ComplexStarCoefficients,
+    CARTESIAN,
+    COMPLEX,
     DeformationParams,
-    complex_coefficients,
-    kernel_phase,
     make_params,
     preset_params,
+    star_kernel,
 )
 from .errors import (
     DimensionMismatchError,
@@ -38,8 +38,6 @@ from .fockspace import (
     quantum_ops,
 )
 from .polystar import (
-    CARTESIAN,
-    COMPLEX,
     Polynomial2,
     star_commutator,
     star_poly,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CARTESIAN",
     "COMPLEX",
-    "ComplexStarCoefficients",
     "DeformationParams",
     "DimensionMismatchError",
     "DivergentIntegralError",
@@ -92,10 +89,8 @@ __all__ = [
     "coherent_roi_amplitude",
     "coherent_roi_kernel",
     "coherent_vector",
-    "complex_coefficients",
     "equivalence_residual",
     "hs_inner",
-    "kernel_phase",
     "ladder_ops",
     "make_params",
     "max_amplitude_diff",
@@ -109,6 +104,7 @@ __all__ = [
     "preset_params",
     "quantum_ops",
     "star_commutator",
+    "star_kernel",
     "star_poly",
     "star_wave",
     "tmap_poly",

@@ -1,10 +1,15 @@
-"""Deformation parameters and the pairwise star kernels.
+"""Deformation parameters and the star kernel.
 
 Everything happens in two spatial dimensions: the noncommutativity matrix
 is the fixed antisymmetric block ``[[0, theta], [-theta, 0]]`` and the
 product family is parametrized on top of it by a complex symmetric matrix
 ``[[phi11, phi12], [phi12, phi22]]``.  ``phi21`` is never stored; symmetry
 is structural.  Units with hbar = 1 throughout.
+
+The star product is the exponential of the bidifferential form
+``K_ab d_a (x) d_b`` with ``K = (i/2)(Phi + Theta)``; ``star_kernel`` is
+the one place that writes K, in cartesian (x1, x2) or complex (z, zbar)
+coordinates.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ from dataclasses import dataclass
 from .errors import SingularParameterError, ValidationError
 
 PRESETS = ("moyal", "voros")
+
+CARTESIAN = "cartesian"
+COMPLEX = "complex"
+FRAMES = (CARTESIAN, COMPLEX)
 
 
 def _finite_complex(name: str, value) -> complex:
@@ -62,37 +71,9 @@ class DeformationParams:
         """The Phi = 0 member at the same theta."""
         return DeformationParams(self.theta, 0j, 0j, 0j)
 
-    def kernel_matrix(self) -> tuple[complex, complex, complex, complex]:
-        """Entries (K11, K12, K21, K22) of (i/2)(Phi + Theta), the cartesian
-        bidifferential kernel."""
-        h = 0.5j
-        return (
-            h * self.phi11,
-            h * (self.phi12 + self.theta),
-            h * (self.phi12 - self.theta),
-            h * self.phi22,
-        )
-
     def phi_quadratic(self, k1: complex, k2: complex) -> complex:
         """Phi_ij k_i k_j = phi11 k1^2 + 2 phi12 k1 k2 + phi22 k2^2."""
         return self.phi11 * k1 * k1 + 2.0 * self.phi12 * k1 * k2 + self.phi22 * k2 * k2
-
-
-@dataclass(frozen=True)
-class ComplexStarCoefficients:
-    """Exponent coefficients of the star kernel in the (z, zbar) frame.
-
-    Order is (left dz * right dz, left dz * right dzbar,
-    left dzbar * right dz, left dzbar * right dzbar).
-    """
-
-    c_zz: complex
-    c_zzbar: complex
-    c_zbarz: complex
-    c_zbarzbar: complex
-
-    def astuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.c_zz, self.c_zzbar, self.c_zbarz, self.c_zbarzbar)
 
 
 def make_params(theta, phi11=0j, phi12=0j, phi22=0j) -> DeformationParams:
@@ -120,43 +101,32 @@ def preset_params(kind: str, theta) -> DeformationParams:
     return make_params(t, phi11=-1j * t, phi12=0j, phi22=-1j * t)
 
 
-def kernel_phase(p, q, params: DeformationParams) -> complex:
-    """Exponent picked up by a pair of plane waves under the star product:
-    -(i/2)(Phi + Theta)_ij p_i q_j.
+def star_kernel(frame: str, params: DeformationParams) -> tuple[complex, complex, complex, complex]:
+    """Entries (K11, K12, K21, K22) of the star kernel in the given frame.
 
-    The full kernel is exp of this value; it is exact, no series involved.
-    """
-    p1, p2 = complex(p[0]), complex(p[1])
-    q1, q2 = complex(q[0]), complex(q[1])
-    t = params.theta
-    s = (
-        params.phi11 * p1 * q1
-        + (params.phi12 + t) * p1 * q2
-        + (params.phi12 - t) * p2 * q1
-        + params.phi22 * p2 * q2
-    )
-    return -0.5j * s
-
-
-def complex_coefficients(params: DeformationParams) -> ComplexStarCoefficients:
-    """The four exponent coefficients of the star kernel in the z frame:
+    Every member of the family is f * g = exp(K_ab d_a (x) d_b) f g, the
+    first derivative acting on f and the second on g.  In the cartesian
+    frame K = (i/2)(Phi + Theta) on (d_x1, d_x2).  In the complex frame the
+    same form on (d_z, d_zbar) is
     (i/4theta) * (phi11 - phi22 + 2i phi12,
                   phi11 + phi22 - 2i theta,
                   phi11 + phi22 + 2i theta,
-                  phi11 - phi22 - 2i phi12).
-
-    Moyal reduces to (0, 1/2, -1/2, 0) and Voros to (0, 1, 0, 0) for any
-    theta != 0.
+                  phi11 - phi22 - 2i phi12),
+    which is singular at theta = 0.  Moyal reduces to (0, 1/2, -1/2, 0)
+    and Voros to (0, 1, 0, 0) for any theta != 0.
     """
-    if params.theta == 0.0:
-        raise SingularParameterError(
-            "complex-frame star coefficients are singular at theta = 0"
-        )
-    s = 0.25j / params.theta
-    p11, p12, p22 = params.phi11, params.phi12, params.phi22
-    return ComplexStarCoefficients(
-        c_zz=s * (p11 - p22 + 2j * p12),
-        c_zzbar=s * (p11 + p22 - 2j * params.theta),
-        c_zbarz=s * (p11 + p22 + 2j * params.theta),
-        c_zbarzbar=s * (p11 - p22 - 2j * p12),
+    p11, p12, p22, t = params.phi11, params.phi12, params.phi22, params.theta
+    if frame == CARTESIAN:
+        h = 0.5j
+        return (h * p11, h * (p12 + t), h * (p12 - t), h * p22)
+    if frame != COMPLEX:
+        raise ValidationError(f"unknown frame {frame!r}; expected one of {FRAMES}")
+    if t == 0.0:
+        raise SingularParameterError("complex-frame star coefficients are singular at theta = 0")
+    s = 0.25j / t
+    return (
+        s * (p11 - p22 + 2j * p12),
+        s * (p11 + p22 - 2j * t),
+        s * (p11 + p22 + 2j * t),
+        s * (p11 - p22 - 2j * p12),
     )

@@ -8,6 +8,7 @@ mix (the engine's function classes are closed separately).
 from __future__ import annotations
 
 import cmath
+import math
 
 from ..deformation import DeformationParams
 from ..errors import EngineError
@@ -129,6 +130,15 @@ def evaluate_expression(expr: Expression, params: DeformationParams) -> Value:
     """Evaluate a parsed expression under the given deformation parameters.
 
     The star operator dispatches to star_poly or star_wave; constants
-    absorb trivially on either side.
+    absorb trivially on either side.  A scalar result that is not finite,
+    or a float overflow on the way (exp, powers), raises EvaluationError;
+    polynomials and exponential sums reject non-finite coefficients
+    themselves.
     """
-    return _eval(expr.root, params)
+    try:
+        value = _eval(expr.root, params)
+    except OverflowError as exc:
+        raise EvaluationError(f"numeric overflow: {exc}") from exc
+    if isinstance(value, complex) and not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise EvaluationError(f"the expression evaluates to a non-finite scalar {value!r}")
+    return value

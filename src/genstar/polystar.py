@@ -13,12 +13,8 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .deformation import DeformationParams, complex_coefficients
+from .deformation import CARTESIAN, COMPLEX, FRAMES, DeformationParams, star_kernel
 from .errors import FrameMismatchError, SingularParameterError, ValidationError
-
-CARTESIAN = "cartesian"
-COMPLEX = "complex"
-FRAMES = (CARTESIAN, COMPLEX)
 
 #: coefficients smaller than this in magnitude are dropped after every
 #: operation so that sparse maps stay canonical
@@ -220,12 +216,6 @@ def _check_frames(f: Polynomial2, g: Polynomial2) -> str:
     return f.frame
 
 
-def _star_kernel(frame: str, params: DeformationParams):
-    if frame == CARTESIAN:
-        return params.kernel_matrix()
-    return complex_coefficients(params).astuple()
-
-
 def _star_terms(fterms: dict, gterms: dict, kernel) -> dict:
     k11, k12, k21, k22 = kernel
     if not fterms or not gterms:
@@ -261,19 +251,19 @@ def _star_terms(fterms: dict, gterms: dict, kernel) -> dict:
 def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """Star product of two polynomials, exact (the series terminates).
 
-    In the cartesian frame the kernel matrix is (i/2)(Phi + Theta); in the
-    complex frame the four coefficients come from complex_coefficients,
-    which requires theta != 0.
+    The kernel is star_kernel(frame, params): (i/2)(Phi + Theta) in the
+    cartesian frame, its z-frame image (which requires theta != 0) in the
+    complex frame.
     """
     frame = _check_frames(f, g)
-    kernel = _star_kernel(frame, params)
+    kernel = star_kernel(frame, params)
     return Polynomial2(_star_terms(f._terms, g._terms, kernel), frame)
 
 
 def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """f * g - g * f under the star product."""
     frame = _check_frames(f, g)
-    kernel = _star_kernel(frame, params)
+    kernel = star_kernel(frame, params)
     fg = _star_terms(f._terms, g._terms, kernel)
     gf = _star_terms(g._terms, f._terms, kernel)
     for key, c in gf.items():
@@ -332,24 +322,13 @@ def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: Deformatio
 
 
 def xhat_apply(mu: int, f: Polynomial2, params: DeformationParams) -> Polynomial2:
-    """Action of the deformed coordinate operator:
+    """Action of the deformed coordinate operator, x_mu * f:
     x_mu f + (i/2)(Theta + Phi)_{mu,alpha} d_alpha f."""
     if mu not in (1, 2):
         raise ValidationError(f"mu must be 1 or 2, got {mu!r}")
     if f.frame != CARTESIAN:
         raise FrameMismatchError("deformed coordinate operators act on cartesian polynomials")
-    t = params.theta
-    if mu == 1:
-        row = (params.phi11, params.phi12 + t)
-        xvar = Polynomial2.variable("x1")
-    else:
-        row = (params.phi12 - t, params.phi22)
-        xvar = Polynomial2.variable("x2")
-    out = xvar * f
-    for axis, m in enumerate(row):
-        if m != 0j:
-            out = out + f.derivative(axis) * (0.5j * m)
-    return out
+    return star_poly(Polynomial2.variable(f"x{mu}"), f, params)
 
 
 def _substitute(f: Polynomial2, sub1: Polynomial2, sub2: Polynomial2) -> Polynomial2:

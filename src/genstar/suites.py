@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deformation import DeformationParams, complex_coefficients, make_params, preset_params
+from .deformation import COMPLEX, DeformationParams, make_params, preset_params, star_kernel
+from .errors import ValidationError
 from .fockspace import (
     FockOp,
     coherent_projector,
@@ -176,8 +177,8 @@ def equivalence_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
 
     worst_moyal = worst_voros = 0.0
     for theta in (0.1, 0.5, 1.0, 2.0):
-        cm = complex_coefficients(preset_params("moyal", theta)).astuple()
-        cv = complex_coefficients(preset_params("voros", theta)).astuple()
+        cm = star_kernel(COMPLEX, preset_params("moyal", theta))
+        cv = star_kernel(COMPLEX, preset_params("voros", theta))
         worst_moyal = max(
             worst_moyal, max(abs(a - b) for a, b in zip(cm, (0j, 0.5 + 0j, -0.5 + 0j, 0j)))
         )
@@ -200,7 +201,12 @@ def equivalence_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
 
 def _hope_amplitude(params: DeformationParams, p: complex, q: complex) -> complex:
     """Direct substitution oracle for the coherent-state kernel on the
-    delta support (p = q is where verdicts are read)."""
+    delta support (p = q is where verdicts are read).
+
+    Deliberately independent of the engine: it writes its own z-frame
+    coefficients c1..c4 instead of reading deformation.star_kernel, so a
+    slip in the shared kernel cannot cancel out of the comparison.
+    """
     t = params.theta
     c1 = params.phi11 - params.phi22 + 2j * params.phi12
     c2 = params.phi11 + params.phi22 - 2j * t
@@ -348,7 +354,12 @@ def fock_suite(seed: int = 0, trials: int = 20, dim: int = 64) -> SuiteResult:
 def run_suites(names=SUITE_NAMES, seed: int = 0, trials: int | None = None) -> list[SuiteResult]:
     """Run the named suites.  trials = None keeps each suite's pinned
     default counts (100 commutator draws, 200 law triples, 100 pairs,
-    20 Fock points)."""
+    20 Fock points).  A negative seed or trials < 1 raises
+    ValidationError: no suite would check anything at trials = 0."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if trials is not None and trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials!r}")
     out = []
     for name in names:
         if name == "algebra":

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import DeformationParams, _finite_complex, complex_coefficients, kernel_phase
+from .deformation import CARTESIAN, COMPLEX, FRAMES, DeformationParams, _finite_complex, star_kernel
 from .errors import (
     DivergentIntegralError,
     FrameMismatchError,
     SingularParameterError,
     ValidationError,
 )
-from .polystar import CARTESIAN, COMPLEX, FRAMES
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,29 +164,31 @@ def _merge_terms(terms, frame) -> tuple[ExpLinearTerm, ...]:
     )
 
 
+def _eigenvalues(f: WaveSum) -> list[tuple[complex, complex]]:
+    """Per term, the eigenvalues of (d_1, d_2) on it: (i k1, i k2) for a
+    cartesian plane wave, (a, b) for exp(a z + b zbar)."""
+    if f.frame == CARTESIAN:
+        return [(1j * k1, 1j * k2) for k1, k2 in (t.wavevector for t in f.terms)]
+    return [t.wavevector for t in f.terms]
+
+
 def star_wave(f: WaveSum, g: WaveSum, params: DeformationParams) -> WaveSum:
     """Star product of two exponential-linear sums; exact and closed.
 
-    Cartesian terms pick up exp(kernel_phase(k, q)); complex-frame terms
-    pick up exp(czz a1 a2 + czzbar a1 b2 + czbarz b1 a2 + czbarzbar b1 b2).
+    Each pair of terms picks up exp(K_ab d_a e_b), where K is
+    star_kernel(frame, params) and d, e are the two terms' derivative
+    eigenvalues; wavevectors add.
     """
     if f.frame != g.frame:
         raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
     if f.is_zero or g.is_zero:
         return WaveSum.zero(f.frame)
-    coeffs = None
-    if f.frame == COMPLEX:
-        coeffs = complex_coefficients(params).astuple()
+    k11, k12, k21, k22 = star_kernel(f.frame, params)
+    right = list(zip(g.terms, _eigenvalues(g)))
     out = []
-    for s in f.terms:
-        for t in g.terms:
-            if f.frame == CARTESIAN:
-                phase = kernel_phase(s.wavevector, t.wavevector, params)
-            else:
-                a1, b1 = s.wavevector
-                a2, b2 = t.wavevector
-                czz, czzbar, czbarz, czbarzbar = coeffs
-                phase = czz * a1 * a2 + czzbar * a1 * b2 + czbarz * b1 * a2 + czbarzbar * b1 * b2
+    for s, (d1, d2) in zip(f.terms, _eigenvalues(f)):
+        for t, (e1, e2) in right:
+            phase = k11 * d1 * e1 + k12 * d1 * e2 + k21 * d2 * e1 + k22 * d2 * e2
             out.append(
                 ExpLinearTerm(
                     s.amplitude * t.amplitude * cmath.exp(phase),
@@ -441,14 +442,7 @@ class KernelAmplitude:
 def position_roi_kernel(params: DeformationParams) -> KernelAmplitude:
     """The position-state identity-resolution amplitude as a quadratic
     form: exponent (i/2)(Phi + Theta)_ij p_i p'_j."""
-    t = params.theta
-    bil = 0.5j * np.array(
-        [
-            [params.phi11, params.phi12 + t],
-            [params.phi12 - t, params.phi22],
-        ],
-        dtype=complex,
-    )
+    bil = np.array(star_kernel(CARTESIAN, params), dtype=complex).reshape(2, 2)
     q = np.zeros((4, 4), dtype=complex)
     q[:2, 2:] = bil / 2.0
     q[2:, :2] = bil.T / 2.0
@@ -463,7 +457,7 @@ def coherent_roi_kernel(params: DeformationParams) -> KernelAmplitude:
     t = params.theta
     if t <= 0.0:
         raise SingularParameterError(f"coherent states need theta > 0, got {params.theta!r}")
-    czz, czzbar, czbarz, czbarzbar = complex_coefficients(params).astuple()
+    czz, czzbar, czbarz, czbarzbar = star_kernel(COMPLEX, params)
     w = t / 2.0
     bil = np.zeros((2, 2), dtype=complex)  # indexed [unprimed axis, primed axis]
     for coeff, sp, su in ((czz, -1, -1), (czzbar, -1, +1), (czbarz, +1, -1), (czbarzbar, +1, +1)):

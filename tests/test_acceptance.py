@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from genstar import (
+    COMPLEX,
     Polynomial2,
     coherent_projector,
     coherent_roi_amplitude,
-    complex_coefficients,
     equivalence_residual,
     hs_inner,
     make_params,
@@ -24,6 +24,7 @@ from genstar import (
     preset_params,
     quantum_ops,
     star_commutator,
+    star_kernel,
     star_poly,
     tmap_poly,
 )
@@ -131,8 +132,8 @@ def test_criterion_3_equivalence_theorem(capsys):
 def test_criterion_4_moyal_voros_coefficient_reductions(capsys):
     worst = 0.0
     for theta in (0.1, 0.5, 1.0, 2.0):
-        cm = complex_coefficients(preset_params("moyal", theta)).astuple()
-        cv = complex_coefficients(preset_params("voros", theta)).astuple()
+        cm = star_kernel(COMPLEX, preset_params("moyal", theta))
+        cv = star_kernel(COMPLEX, preset_params("voros", theta))
         worst = max(worst, max(abs(a - b) for a, b in zip(cm, (0j, 0.5, -0.5, 0j))))
         worst = max(worst, max(abs(a - b) for a, b in zip(cv, (0j, 1.0, 0j, 0j))))
     _report(capsys, 4, "z-frame kernel presets (0,1/2,-1/2,0) and (0,1,0,0)", worst, 1e-15, worst <= 1e-15)

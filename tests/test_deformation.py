@@ -1,4 +1,6 @@
-"""Parameter bundles and pairwise star kernels."""
+"""Parameter bundles and the star kernel."""
+
+import cmath
 
 import numpy as np
 import pytest
@@ -6,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genstar import (
+    CARTESIAN,
+    COMPLEX,
     SingularParameterError,
     ValidationError,
-    complex_coefficients,
-    kernel_phase,
+    WaveSum,
     make_params,
     preset_params,
+    star_kernel,
+    star_wave,
 )
 
-finite_complex = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
+small_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 def test_make_params_moyal_trivial():
@@ -61,76 +66,89 @@ def test_preset_unknown_kind():
         preset_params("weyl", 1.0)
 
 
+def _matrix(kernel):
+    k11, k12, k21, k22 = kernel
+    return np.array([[k11, k12], [k21, k22]], dtype=complex)
+
+
+def _pair_amplitude(p, q, params):
+    """exp of the exponent that two unit plane waves pick up under the star
+    product, read from star_wave."""
+    (term,) = star_wave(WaveSum.plane_wave(*p), WaveSum.plane_wave(*q), params).terms
+    return term.amplitude
+
+
 def test_kernel_phase_moyal_cross():
-    p = preset_params("moyal", 1.0)
-    assert kernel_phase((1, 0), (0, 1), p) == pytest.approx(-0.5j)
+    for theta in (0.5, 1.0, 1.7):
+        k11, k12, k21, k22 = star_kernel(CARTESIAN, preset_params("moyal", theta))
+        assert k12 == pytest.approx(0.5j * theta)
+        assert (k11, k21, k22) == (0, -k12, 0)
 
 
 def test_kernel_phase_voros_damping():
-    p = preset_params("voros", 1.0)
-    assert kernel_phase((1, 0), (1, 0), p) == pytest.approx(-0.5)
+    for theta in (0.5, 1.0, 1.7):
+        k11, _, _, k22 = star_kernel(CARTESIAN, preset_params("voros", theta))
+        assert k11 == pytest.approx(theta / 2.0)
+        assert k22 == pytest.approx(theta / 2.0)
 
 
 def test_kernel_phase_zero_vector():
+    # the zero wavevector is the unit: its exponent vanishes exactly
     p = make_params(0.7, 0.1 + 0.2j, -0.3j, 1.0)
-    assert kernel_phase((2.0, -1.0), (0.0, 0.0), p) == 0
+    assert _pair_amplitude((2.0, -1.0), (0.0, 0.0), p) == 1
+    assert _pair_amplitude((0.0, 0.0), (2.0, -1.0), p) == 1
 
 
 @settings(max_examples=50, deadline=None)
-@given(a=finite_complex, b=finite_complex, p1=finite_complex, p2=finite_complex,
-       q1=finite_complex, q2=finite_complex)
+@given(a=small_complex, b=small_complex, p1=small_complex, p2=small_complex,
+       q1=small_complex, q2=small_complex)
 def test_kernel_phase_bilinear(a, b, p1, p2, q1, q2):
+    # |exponent| <= sum |K_ab| < pi here, so the principal log recovers it
     params = make_params(1.3, 0.2 - 0.1j, 0.4j, -0.6)
-    lhs = kernel_phase((a * p1, a * p2), (b * q1, b * q2), params)
-    rhs = a * b * kernel_phase((p1, p2), (q1, q2), params)
-    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+    exponent = cmath.log(_pair_amplitude((p1, p2), (q1, q2), params))
+    lhs = _pair_amplitude((a * p1, a * p2), (b * q1, b * q2), params)
+    rhs = cmath.exp(a * b * exponent)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_kernel_phase_swap_leaves_phi_part():
-    params = make_params(0.8, 0.3 + 0.1j, -0.2, 0.5j)
+    # K + K^T = i Phi for every member of the family
     rng = np.random.default_rng(3)
     for _ in range(25):
-        p = rng.uniform(-2, 2, 2)
-        q = rng.uniform(-2, 2, 2)
-        total = kernel_phase(p, q, params) + kernel_phase(q, p, params)
-        phi = (
-            params.phi11 * p[0] * q[0]
-            + params.phi12 * (p[0] * q[1] + p[1] * q[0])
-            + params.phi22 * p[1] * q[1]
-        )
-        assert abs(total - (-1j) * phi) < 1e-12
+        params = make_params(rng.uniform(0.1, 2.0), *(complex(*rng.uniform(-1, 1, 2)) for _ in range(3)))
+        k = _matrix(star_kernel(CARTESIAN, params))
+        phi = np.array([[params.phi11, params.phi12], [params.phi12, params.phi22]])
+        assert np.max(np.abs(k + k.T - 1j * phi)) < 1e-15
 
 
 def test_kernel_phase_antisymmetric_for_moyal():
-    params = preset_params("moyal", 1.7)
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        p = rng.uniform(-2, 2, 2)
-        q = rng.uniform(-2, 2, 2)
-        assert abs(kernel_phase(p, q, params) + kernel_phase(q, p, params)) < 1e-12
+    # K = -K^T at Phi = 0, so the Moyal exponent is odd under swapping waves
+    for theta in (0.1, 1.7, 40.0):
+        k = _matrix(star_kernel(CARTESIAN, preset_params("moyal", theta)))
+        assert np.array_equal(k, -k.T)
 
 
 def test_complex_coefficients_moyal():
-    c = complex_coefficients(preset_params("moyal", 1.0))
-    assert c.astuple() == (0j, 0.5 + 0j, -0.5 + 0j, 0j)
+    c = star_kernel(COMPLEX, preset_params("moyal", 1.0))
+    assert c == (0j, 0.5 + 0j, -0.5 + 0j, 0j)
 
 
 def test_complex_coefficients_voros():
-    c = complex_coefficients(preset_params("voros", 1.0))
-    assert c.astuple() == (0j, 1.0 + 0j, 0j, 0j)
+    c = star_kernel(COMPLEX, preset_params("voros", 1.0))
+    assert c == (0j, 1.0 + 0j, 0j, 0j)
 
 
 def test_complex_coefficients_derived_point():
     # direct substitution oracle: theta=2, phi11=4i gives
     # (i/8)(4i, 4i-4i, 4i+4i, 4i) = (-1/2, 0, -1, -1/2)
-    c = complex_coefficients(make_params(2.0, 4j, 0, 0))
+    c = star_kernel(COMPLEX, make_params(2.0, 4j, 0, 0))
     expected = (-0.5 + 0j, 0j, -1.0 + 0j, -0.5 + 0j)
-    assert max(abs(a - b) for a, b in zip(c.astuple(), expected)) < 1e-15
+    assert max(abs(a - b) for a, b in zip(c, expected)) < 1e-15
 
 
 def test_complex_coefficients_theta_zero_raises():
     with pytest.raises(SingularParameterError):
-        complex_coefficients(make_params(0.0, 1.0, 0, 0))
+        star_kernel(COMPLEX, make_params(0.0, 1.0, 0, 0))
 
 
 def test_coefficient_difference_is_unity():
@@ -143,8 +161,8 @@ def test_coefficient_difference_is_unity():
             complex(*rng.uniform(-1, 1, 2)),
             complex(*rng.uniform(-1, 1, 2)),
         )
-        c = complex_coefficients(params)
-        assert abs((c.c_zzbar - c.c_zbarz) - 1.0) < 1e-12
+        _, c_zzbar, c_zbarz, _ = star_kernel(COMPLEX, params)
+        assert abs((c_zzbar - c_zbarz) - 1.0) < 1e-12
 
 
 def test_coefficients_invert_to_parameters():
@@ -156,7 +174,7 @@ def test_coefficients_invert_to_parameters():
         theta = rng.uniform(0.1, 2.0)
         phi = [complex(*rng.uniform(-1, 1, 2)) for _ in range(3)]
         params = make_params(theta, *phi)
-        g = complex_coefficients(params).astuple()
+        g = star_kernel(COMPLEX, params)
         rows = [
             [1j, -2.0, -1j, -4.0 * g[0]],
             [1j, 0.0, 1j, 2.0 - 4.0 * g[1]],
@@ -177,7 +195,7 @@ def test_coefficients_invert_to_parameters():
 
 def test_kernel_matrix_entries():
     params = make_params(2.0, 1.0, 3.0, -1.0)
-    k11, k12, k21, k22 = params.kernel_matrix()
+    k11, k12, k21, k22 = star_kernel(CARTESIAN, params)
     assert k11 == 0.5j * 1.0
     assert k12 == 0.5j * 5.0
     assert k21 == 0.5j * 1.0

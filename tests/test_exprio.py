@@ -477,6 +477,43 @@ def test_cli_kernel_amplitude_underflow_is_error(capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "expr", ["1e200*1e200", "1e300*1e300 - 1e300*1e300", "1e400", "exp(1000)", "(1e200)^2"]
+)
+def test_cli_eval_nonfinite_scalar_is_error(capsys, expr):
+    code = main(["eval", expr])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_scenario_eval_nonfinite_scalar_is_error_report():
+    report = run_scenario(parse_scenario('task eval expr="1e200*1e200"\n'))
+    assert report.failed
+    assert report.tasks[0].verdict == "error"
+    assert "non-finite" in report.tasks[0].outputs["error"]
+    assert exit_code(report) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["--suite", "roi", "--seed", "-1"], ["--suite", "algebra", "--trials", "0"]]
+)
+def test_cli_verify_rejects_bad_seed_and_trials(capsys, argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("header", ["seed = -1", "trials = 0"])
+def test_scenario_verify_all_rejects_bad_seed_and_trials(header):
+    report = run_scenario(parse_scenario(f"{header}\ntask verify-all suites=roi\n"))
+    assert report.tasks[0].verdict == "error"
+    assert exit_code(report) == 2
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "genstar", "eval", "x1 ** x2"],

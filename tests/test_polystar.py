@@ -250,11 +250,14 @@ def test_frame_conversion_requires_positive_theta():
 
 
 def test_moyal_star_reduces_in_complex_frame():
-    # the cartesian Moyal product maps to the z-frame kernel
-    # (0, 1/2, -1/2, 0) under z = (x1 + i x2)/sqrt(2 theta)
+    # the cartesian kernel (i/2)(Phi + Theta) maps to the z-frame kernel
+    # under z = (x1 + i x2)/sqrt(2 theta): for Moyal that is (0, 1/2, -1/2, 0),
+    # and the two branches of star_kernel must agree for generic complex Phi
     rng = np.random.default_rng(8)
-    for theta in (0.5, 1.0, 2.0):
-        params = preset_params("moyal", theta)
+    cases = [preset_params("moyal", theta) for theta in (0.5, 1.0, 2.0)]
+    cases += [random_params(rng) for _ in range(20)]
+    for params in cases:
+        theta = params.theta
         f = random_polynomial(rng, max_degree=3)
         g = random_polynomial(rng, max_degree=3)
         cart = to_complex_frame(star_poly(f, g, params), theta)

@@ -1,5 +1,8 @@
 """The shared verification suites run green and are reproducible."""
 
+import pytest
+
+from genstar import ValidationError
 from genstar.suites import (
     SUITE_NAMES,
     algebra_suite,
@@ -41,3 +44,14 @@ def test_roi_suite_reports_non_resolution_detail():
     by_name = {c.name: c for c in suite.checks}
     assert "non-resolution" in by_name["position-generic-amplitude"].detail
     assert by_name["coherent-voros-resolves"].passed
+
+
+@pytest.mark.parametrize("kw", [{"seed": -1}, {"trials": 0}, {"trials": -3}])
+def test_run_suites_rejects_negative_seed_and_empty_trials(kw):
+    with pytest.raises(ValidationError):
+        run_suites(("equivalence",), **kw)
+
+
+def test_run_suites_trials_none_keeps_pinned_counts():
+    (suite,) = run_suites(("equivalence",), seed=0, trials=None)
+    assert "100 random" in suite.checks[0].detail
