@@ -26,9 +26,6 @@ from .errors import (
 )
 from .fockspace import (
     FockOp,
-    FockVec,
-    OverlapComparison,
-    QuantumOps,
     coherent_projector,
     coherent_vector,
     hs_inner,
@@ -48,7 +45,6 @@ from .polystar import (
 )
 from .wavestar import (
     ExpLinearTerm,
-    KernelAmplitude,
     WaveSum,
     coherent_momentum_overlap,
     coherent_roi_amplitude,
@@ -75,12 +71,8 @@ __all__ = [
     "EngineError",
     "ExpLinearTerm",
     "FockOp",
-    "FockVec",
     "FrameMismatchError",
-    "KernelAmplitude",
-    "OverlapComparison",
     "Polynomial2",
-    "QuantumOps",
     "SingularParameterError",
     "ValidationError",
     "WaveSum",

@@ -1,11 +1,13 @@
 """Exact star-product algebra on sparse two-variable polynomials.
 
-The bidifferential exponential kernel terminates on polynomials, so every
-operation here is a finite sum evaluated with exact multinomial
-bookkeeping: order k contributes
-``K11^a K12^b K21^c K22^d / (a! b! c! d!)`` times the matching partial
-derivatives, with a+b+c+d = k.  The series stops at
-k = min(deg f, deg g).
+The star product f * g = exp(K_ab d_a e_b) f(x) g(y) at y = x and the
+equivalence map T = exp((i/4) Phi_ij d_i d_j) are both exponentials of a
+constant-coefficient second-order operator B.  One routine,
+`_exp_operator`, sums B^k / k! on a sparse map from exponent tuples to
+coefficients: the star product runs it on f(x) g(y), keyed
+(a1, a2, b1, b2), and then sets y = x; T runs it on f itself.  B lowers
+the degree, so the series ends on its own, after min(deg f, deg g) steps
+for the star product and deg(f)//2 for T.
 """
 
 from __future__ import annotations
@@ -197,54 +199,59 @@ def _deriv_terms(terms: dict, axis: int) -> dict:
     return out
 
 
-def _derivative_table(terms: dict, kmax: int) -> dict[tuple[int, int], dict]:
-    """All partials d1^m d2^n with m + n <= kmax, built incrementally."""
-    table = {(0, 0): terms}
-    for total in range(1, kmax + 1):
-        for m in range(total + 1):
-            n = total - m
-            if n > 0:
-                table[(m, n)] = _deriv_terms(table[(m, n - 1)], 1)
-            else:
-                table[(m, 0)] = _deriv_terms(table[(m - 1, 0)], 0)
-    return table
-
-
 def _check_frames(f: Polynomial2, g: Polynomial2) -> str:
     if f.frame != g.frame:
         raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
     return f.frame
 
 
-def _star_terms(fterms: dict, gterms: dict, kernel) -> dict:
-    k11, k12, k21, k22 = kernel
-    if not fterms or not gterms:
-        return {}
-    degf = max(n1 + n2 for n1, n2 in fterms)
-    degg = max(n1 + n2 for n1, n2 in gterms)
-    kmax = min(degf, degg)
-    df = _derivative_table(fterms, kmax)
-    dg = _derivative_table(gterms, kmax)
-    fact = [math.factorial(k) for k in range(kmax + 1)]
+def _exp_operator(terms: dict, weights) -> dict:
+    """sum_k B^k(terms) / k! for B = sum of w d_i d_j over the (w, i, j) in
+    weights, with terms keyed by exponent tuples.
+
+    B lowers the total degree by two, so the series ends on its own: the
+    loop stops at the first step that comes out empty.
+    """
+    ops = [(w, i, j, int(i == j)) for w, i, j in weights if w != 0j]
+    out = dict(terms)
+    cur = terms
+    k = 0
+    while cur and ops:
+        k += 1
+        nxt: dict[tuple, complex] = {}
+        for w, i, j, same in ops:
+            w = w / k
+            for key, c in cur.items():
+                m = key[i] * (key[j] - same)  # 0 once d_i d_j kills the monomial
+                if m > 0:
+                    new = list(key)
+                    new[i] -= 1
+                    new[j] -= 1
+                    new = tuple(new)
+                    nxt[new] = nxt.get(new, 0j) + w * m * c
+        for key, c in nxt.items():
+            out[key] = out.get(key, 0j) + c
+        cur = nxt
+    return out
+
+
+def _star_series(f: Polynomial2, g: Polynomial2, k11, k12, k21, k22) -> dict:
+    """exp(K_ab d_a e_b) applied to f(x) g(y), keyed (a1, a2, b1, b2); d
+    acts on x and e on y."""
+    tensor = {
+        (a1, a2, b1, b2): cf * cg
+        for (a1, a2), cf in f._terms.items()
+        for (b1, b2), cg in g._terms.items()
+    }
+    return _exp_operator(tensor, ((k11, 0, 2), (k12, 0, 3), (k21, 1, 2), (k22, 1, 3)))
+
+
+def _contract(tensor: dict) -> dict:
+    """Set y = x: (a1, a2, b1, b2) -> (a1 + b1, a2 + b2)."""
     out: dict[tuple[int, int], complex] = {}
-    for a in range(kmax + 1):
-        wa = k11**a / fact[a]
-        for b in range(kmax + 1 - a):
-            wb = wa * k12**b / fact[b]
-            for c in range(kmax + 1 - a - b):
-                wc = wb * k21**c / fact[c]
-                for d in range(kmax + 1 - a - b - c):
-                    w = wc * k22**d / fact[d]
-                    if w == 0j:
-                        continue
-                    left = df[(a + b, c + d)]
-                    right = dg[(a + c, b + d)]
-                    if not left or not right:
-                        continue
-                    for (e1, e2), cf in left.items():
-                        for (h1, h2), cg in right.items():
-                            key = (e1 + h1, e2 + h2)
-                            out[key] = out.get(key, 0j) + w * cf * cg
+    for (a1, a2, b1, b2), c in tensor.items():
+        key = (a1 + b1, a2 + b2)
+        out[key] = out.get(key, 0j) + c
     return out
 
 
@@ -256,19 +263,18 @@ def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Poly
     complex frame.
     """
     frame = _check_frames(f, g)
-    kernel = star_kernel(frame, params)
-    return Polynomial2(_star_terms(f._terms, g._terms, kernel), frame)
+    return Polynomial2(_contract(_star_series(f, g, *star_kernel(frame, params))), frame)
 
 
 def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """f * g - g * f under the star product."""
     frame = _check_frames(f, g)
-    kernel = star_kernel(frame, params)
-    fg = _star_terms(f._terms, g._terms, kernel)
-    gf = _star_terms(g._terms, f._terms, kernel)
-    for key, c in gf.items():
+    k11, k12, k21, k22 = star_kernel(frame, params)
+    fg = _star_series(f, g, k11, k12, k21, k22)
+    # g * f is the same series with the kernel transposed
+    for key, c in _star_series(f, g, k11, k21, k12, k22).items():
         fg[key] = fg.get(key, 0j) - c
-    return Polynomial2(fg, frame)
+    return Polynomial2(_contract(fg), frame)
 
 
 def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
@@ -279,37 +285,12 @@ def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """
     if f.frame != CARTESIAN:
         raise FrameMismatchError("the equivalence map acts on cartesian polynomials")
-    p11, p12, p22 = params.phi11, params.phi12, params.phi22
-
-    def quad(terms: dict) -> dict:
-        out: dict[tuple[int, int], complex] = {}
-        for weight, m, n in ((p11, 2, 0), (2.0 * p12, 1, 1), (p22, 0, 2)):
-            if weight == 0j:
-                continue
-            for (n1, n2), c in terms.items():
-                if n1 < m or n2 < n:
-                    continue
-                factor = 1.0
-                for j in range(m):
-                    factor *= n1 - j
-                for j in range(n):
-                    factor *= n2 - j
-                key = (n1 - m, n2 - n)
-                out[key] = out.get(key, 0j) + weight * c * factor
-        return out
-
-    acc = dict(f._terms)
-    cur = f._terms
-    k = 0
-    while cur:
-        k += 1
-        nxt = quad(cur)
-        cur = {key: (0.25j / k) * c for key, c in nxt.items()}
-        for key, c in cur.items():
-            acc[key] = acc.get(key, 0j) + c
-        if k > 2 * (f.total_degree() + 1):
-            break  # cannot happen; guards against a runaway loop
-    return Polynomial2(acc, CARTESIAN)
+    weights = (
+        (0.25j * params.phi11, 0, 0),
+        (0.5j * params.phi12, 0, 1),
+        (0.25j * params.phi22, 1, 1),
+    )
+    return Polynomial2(_exp_operator(f._terms, weights), CARTESIAN)
 
 
 def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> float:

@@ -60,37 +60,39 @@ class SuiteResult:
 # -- random instances -----------------------------------------------------
 
 
-def random_phi_entry(rng, scale: float = 1.0) -> complex:
-    r = scale * rng.uniform(0.0, 1.0)
+def random_phi_entry(rng) -> complex:
+    r = rng.uniform(0.0, 1.0)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return r * cmath.exp(1j * phase)
 
 
-def random_params(rng, theta=None, phi_scale: float = 1.0) -> DeformationParams:
+def random_params(rng, theta=None) -> DeformationParams:
     t = rng.uniform(0.1, 2.0) if theta is None else theta
     return make_params(
         t,
-        phi11=random_phi_entry(rng, phi_scale),
-        phi12=random_phi_entry(rng, phi_scale),
-        phi22=random_phi_entry(rng, phi_scale),
+        phi11=random_phi_entry(rng),
+        phi12=random_phi_entry(rng),
+        phi22=random_phi_entry(rng),
     )
 
 
-def random_polynomial(rng, max_degree: int = 4, max_terms: int = 5, frame: str = "cartesian") -> Polynomial2:
+def random_polynomial(rng, max_degree: int = 4) -> Polynomial2:
+    """Cartesian polynomial with 2 to 5 distinct monomials of degree <= max_degree."""
     exps = [(n1, n2) for n1 in range(max_degree + 1) for n2 in range(max_degree + 1 - n1)]
-    picks = rng.choice(len(exps), size=rng.integers(2, max_terms + 1), replace=False)
+    picks = rng.choice(len(exps), size=rng.integers(2, 6), replace=False)
     terms = {}
     for idx in picks:
         terms[exps[int(idx)]] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return Polynomial2(terms, frame)
+    return Polynomial2(terms)
 
 
-def random_wavesum(rng, max_terms: int = 3, kmax: float = 2.0) -> WaveSum:
-    n = int(rng.integers(1, max_terms + 1))
+def random_wavesum(rng) -> WaveSum:
+    """One to three plane waves, wavevector components in [-2, 2)."""
+    n = int(rng.integers(1, 4))
     out = WaveSum.zero()
     for _ in range(n):
         amp = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        out = out + WaveSum.plane_wave(rng.uniform(-kmax, kmax), rng.uniform(-kmax, kmax), amp)
+        out = out + WaveSum.plane_wave(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), amp)
     return out
 
 
@@ -280,17 +282,20 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
     return SuiteResult("roi", seed, checks)
 
 
-def random_interior_state(rng, dim: int, margin: int = 3) -> FockOp:
+def random_interior_state(rng, dim: int) -> FockOp:
+    """Normalised random operator supported on the leading (dim - 3) block."""
     m = np.zeros((dim, dim), dtype=complex)
-    k = dim - margin
+    k = dim - 3
     m[:k, :k] = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     m /= np.linalg.norm(m)
     return FockOp(dim, m)
 
 
-def fock_suite(seed: int = 0, trials: int = 20, dim: int = 64) -> SuiteResult:
-    """Truncated Fock-space cross-checks against the closed forms."""
+def fock_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
+    """Truncated Fock-space cross-checks against the closed forms, at
+    truncation N = 64."""
     rng = np.random.default_rng(seed)
+    dim = 64
 
     worst_overlap = 0.0
     for k in range(trials):

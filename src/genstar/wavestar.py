@@ -32,6 +32,9 @@ AMP_TOL = 1e-14
 #: wavevectors closer than this are considered equal when merging/matching
 WVEC_TOL = 1e-9
 
+#: a plane integral whose frequency has an imaginary part above this diverges
+IMAG_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ExpLinearTerm:
@@ -177,7 +180,8 @@ def star_wave(f: WaveSum, g: WaveSum, params: DeformationParams) -> WaveSum:
 
     Each pair of terms picks up exp(K_ab d_a e_b), where K is
     star_kernel(frame, params) and d, e are the two terms' derivative
-    eigenvalues; wavevectors add.
+    eigenvalues; wavevectors add.  A factor that overflows raises
+    ValidationError.
     """
     if f.frame != g.frame:
         raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
@@ -189,9 +193,15 @@ def star_wave(f: WaveSum, g: WaveSum, params: DeformationParams) -> WaveSum:
     for s, (d1, d2) in zip(f.terms, _eigenvalues(f)):
         for t, (e1, e2) in right:
             phase = k11 * d1 * e1 + k12 * d1 * e2 + k21 * d2 * e1 + k22 * d2 * e2
+            try:
+                factor = cmath.exp(phase)
+            except OverflowError as exc:
+                raise ValidationError(
+                    f"star_wave: the pair factor exp({phase:.6g}) overflows"
+                ) from exc
             out.append(
                 ExpLinearTerm(
-                    s.amplitude * t.amplitude * cmath.exp(phase),
+                    s.amplitude * t.amplitude * factor,
                     f.frame,
                     (s.wavevector[0] + t.wavevector[0], s.wavevector[1] + t.wavevector[1]),
                 )
@@ -201,21 +211,22 @@ def star_wave(f: WaveSum, g: WaveSum, params: DeformationParams) -> WaveSum:
 
 def tmap_wave(f: WaveSum, params: DeformationParams) -> WaveSum:
     """Equivalence map on plane waves: each term's amplitude multiplies by
-    exp(-(i/4) Phi_ij k_i k_j); wavevectors are unchanged."""
+    exp(-(i/4) Phi_ij k_i k_j); wavevectors are unchanged.  A factor that
+    overflows raises ValidationError."""
     if f.frame != CARTESIAN:
         raise FrameMismatchError("the equivalence map acts on cartesian plane waves")
-    out = tuple(
-        ExpLinearTerm(
-            t.amplitude * cmath.exp(-0.25j * params.phi_quadratic(*t.wavevector)),
-            CARTESIAN,
-            t.wavevector,
-        )
-        for t in f.terms
-    )
-    return WaveSum(out, CARTESIAN)
+    out = []
+    for t in f.terms:
+        phase = -0.25j * params.phi_quadratic(*t.wavevector)
+        try:
+            factor = cmath.exp(phase)
+        except OverflowError as exc:
+            raise ValidationError(f"tmap_wave: the factor exp({phase:.6g}) overflows") from exc
+        out.append(ExpLinearTerm(t.amplitude * factor, CARTESIAN, t.wavevector))
+    return WaveSum(tuple(out), CARTESIAN)
 
 
-def max_amplitude_diff(f: WaveSum, g: WaveSum, ktol: float = WVEC_TOL) -> float:
+def max_amplitude_diff(f: WaveSum, g: WaveSum) -> float:
     """Largest termwise amplitude difference after matching wavevectors;
     unmatched terms contribute their full magnitude."""
     if f.frame != g.frame:
@@ -225,8 +236,8 @@ def max_amplitude_diff(f: WaveSum, g: WaveSum, ktol: float = WVEC_TOL) -> float:
     for s in f.terms:
         for j, t in enumerate(rest):
             if (
-                abs(s.wavevector[0] - t.wavevector[0]) <= ktol
-                and abs(s.wavevector[1] - t.wavevector[1]) <= ktol
+                abs(s.wavevector[0] - t.wavevector[0]) <= WVEC_TOL
+                and abs(s.wavevector[1] - t.wavevector[1]) <= WVEC_TOL
             ):
                 worst = max(worst, abs(s.amplitude - t.amplitude))
                 rest.pop(j)
@@ -273,7 +284,7 @@ def _single_term(f: WaveSum, name: str) -> ExpLinearTerm:
     return f.terms[0]
 
 
-def plane_integral_cartesian(f: WaveSum, imag_tol: float = 1e-10) -> DeltaTerm:
+def plane_integral_cartesian(f: WaveSum) -> DeltaTerm:
     """Integral over the (x1, x2) plane of a one-term sum:
     A exp(i k.x) -> (2 pi)^2 A delta2(k).
 
@@ -284,14 +295,14 @@ def plane_integral_cartesian(f: WaveSum, imag_tol: float = 1e-10) -> DeltaTerm:
         raise FrameMismatchError("plane_integral_cartesian expects a cartesian sum")
     t = _single_term(f, "plane_integral_cartesian")
     k1, k2 = t.wavevector
-    if abs(k1.imag) > imag_tol or abs(k2.imag) > imag_tol:
+    if abs(k1.imag) > IMAG_TOL or abs(k2.imag) > IMAG_TOL:
         raise DivergentIntegralError(
             f"plane integral of exp(i k.x) diverges for complex k = {t.wavevector!r}"
         )
     return DeltaTerm(t.amplitude * TWO_PI**2, (k1.real, k2.real))
 
 
-def plane_integral_z(f: WaveSum, imag_tol: float = 1e-10) -> DeltaTerm:
+def plane_integral_z(f: WaveSum) -> DeltaTerm:
     """Integral (1/pi) d(Re z) d(Im z) of a one-term sum A exp(a z + b zbar).
 
     Writing z = u + iv the exponent is (a+b)u + i(a-b)v, which is
@@ -304,7 +315,7 @@ def plane_integral_z(f: WaveSum, imag_tol: float = 1e-10) -> DeltaTerm:
     a, b = t.wavevector
     u_freq = -1j * (a + b)  # exponent along Re z is i * u_freq
     v_freq = a - b  # exponent along Im z is i * v_freq
-    if abs(u_freq.imag) > imag_tol or abs(v_freq.imag) > imag_tol:
+    if abs(u_freq.imag) > IMAG_TOL or abs(v_freq.imag) > IMAG_TOL:
         raise DivergentIntegralError(
             f"plane integral of exp(a z + b zbar) diverges for (a, b) = {t.wavevector!r}"
         )
@@ -402,16 +413,15 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> list[tuple]:
 
 @dataclass(frozen=True)
 class KernelAmplitude:
-    """exp((u, v) . Q . (u, v) + c) on u = (p1, p2), v = (p1', p2').
+    """exp((u, v) . Q . (u, v)) on u = (p1, p2), v = (p1', p2').
 
-    The amplitude multiplies delta2(p - p'); when diagonal_only is set the
-    off-diagonal values are bookkeeping only and every identity-resolution
-    verdict is read on the support p = p'.
+    The amplitude multiplies delta2(p - p'), so the off-diagonal values are
+    bookkeeping only and every identity-resolution verdict is read on the
+    support p = p' (diagonal_only).
     """
 
     quad: np.ndarray
-    constant: complex = 0j
-    diagonal_only: bool = True
+    diagonal_only = True
 
     def __post_init__(self):
         q = np.asarray(self.quad, dtype=complex)
@@ -422,20 +432,16 @@ class KernelAmplitude:
         q = 0.5 * (q + q.T)
         q.setflags(write=False)
         object.__setattr__(self, "quad", q)
-        object.__setattr__(self, "constant", _finite_complex("constant", self.constant))
 
     def evaluate(self, p, pprime) -> complex:
         x = np.array([p[0], p[1], pprime[0], pprime[1]], dtype=complex)
-        return complex(cmath.exp(complex(x @ self.quad @ x) + self.constant))
-
-    def diagonal(self, p) -> complex:
-        return self.evaluate(p, p)
+        return cmath.exp(complex(x @ self.quad @ x))
 
     def to_json_dict(self) -> dict:
         return {
             "Q": [[[float(v.real), float(v.imag)] for v in row] for row in self.quad],
-            "constant": [float(self.constant.real), float(self.constant.imag)],
-            "diagonal_only": bool(self.diagonal_only),
+            "constant": [0.0, 0.0],
+            "diagonal_only": self.diagonal_only,
         }
 
 
@@ -446,7 +452,7 @@ def position_roi_kernel(params: DeformationParams) -> KernelAmplitude:
     q = np.zeros((4, 4), dtype=complex)
     q[:2, 2:] = bil / 2.0
     q[2:, :2] = bil.T / 2.0
-    return KernelAmplitude(q, 0j, diagonal_only=True)
+    return KernelAmplitude(q)
 
 
 def coherent_roi_kernel(params: DeformationParams) -> KernelAmplitude:
@@ -470,4 +476,4 @@ def coherent_roi_kernel(params: DeformationParams) -> KernelAmplitude:
     q[0, 0] = q[1, 1] = q[2, 2] = q[3, 3] = -t / 4.0
     q[:2, 2:] += bil / 2.0
     q[2:, :2] += bil.T / 2.0
-    return KernelAmplitude(q, 0j, diagonal_only=True)
+    return KernelAmplitude(q)

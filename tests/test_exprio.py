@@ -496,6 +496,25 @@ def test_scenario_eval_nonfinite_scalar_is_error_report():
     assert exit_code(report) == 2
 
 
+@pytest.mark.parametrize("kind", ["commutator", "equivalence"])
+def test_scenario_wave_amplitude_overflow_is_error_report(kind):
+    # under Voros the star pair exponent is 820 and the equivalence map's
+    # amplitude exponent reaches 1640.25: cmath.exp overflows on both
+    text = f'preset = voros\ntask {kind} f="exp(40*x1)" g="exp(41*x1)"\n'
+    report = run_scenario(parse_scenario(text))
+    assert report.tasks[0].verdict == "error"
+    assert "overflows" in report.tasks[0].outputs["error"]
+    assert exit_code(report) == 2
+
+
+def test_cli_eval_wave_amplitude_overflow_is_error(capsys):
+    code = main(["eval", "exp(40*x1) ** exp(41*x1)", "--preset", "voros"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize(
     "argv", [["--suite", "roi", "--seed", "-1"], ["--suite", "algebra", "--trials", "0"]]
 )

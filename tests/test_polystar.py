@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,83 @@ def test_poly_equivalence_identity():
         lhs = tmap_poly(star_poly(f, g, params.moyal()), params)
         rhs = star_poly(tmap_poly(f, params), tmap_poly(g, params), params)
         assert lhs.max_diff(rhs) < 1e-10
+
+
+# -- independent symbolic oracle ------------------------------------------
+#
+# sympy sums exp(K_ab d/dx_a d/dy_b) on x^m y^n and exp((i/4) Phi_ij d_i d_j)
+# on x^m term by term, with symbolic K and Phi.  K = (i/2)(Phi + Theta) is
+# written out here from the parameters, not read from the engine.
+
+SX1, SX2, SY1, SY2 = sp.symbols("x1 x2 y1 y2")
+SK = sp.symbols("k11 k12 k21 k22")
+SPHI = sp.symbols("phi11 phi12 phi22")
+
+
+def _symbolic_exp(expr, operator):
+    """sum_k operator^k(expr) / k!; operator lowers the degree, so it ends."""
+    total = term = expr
+    k = 0
+    while term != 0:
+        k += 1
+        term = sp.expand(operator(term) / k)
+        total += term
+    return total
+
+
+def _coefficients(expr, symbols):
+    """(monomial keys, function of the symbols giving their coefficients)."""
+    poly = sp.Poly(expr, SX1, SX2)
+    return poly.monoms(), sp.lambdify(symbols, poly.coeffs())
+
+
+def _symbolic_star(m, n):
+    k11, k12, k21, k22 = SK
+
+    def bidiff(e):
+        return (k11 * sp.diff(e, SX1, SY1) + k12 * sp.diff(e, SX1, SY2)
+                + k21 * sp.diff(e, SX2, SY1) + k22 * sp.diff(e, SX2, SY2))
+
+    expr = _symbolic_exp(SX1 ** m[0] * SX2 ** m[1] * SY1 ** n[0] * SY2 ** n[1], bidiff)
+    return _coefficients(expr.subs({SY1: SX1, SY2: SX2}), SK)
+
+
+def _symbolic_tmap(m):
+    p11, p12, p22 = SPHI
+
+    def quad(e):
+        return sp.I / 4 * (p11 * sp.diff(e, SX1, 2) + 2 * p12 * sp.diff(e, SX1, SX2)
+                           + p22 * sp.diff(e, SX2, 2))
+
+    return _coefficients(_symbolic_exp(SX1 ** m[0] * SX2 ** m[1], quad), SPHI)
+
+
+def _monomials(degree):
+    return [(a, d - a) for d in range(degree + 1) for a in range(d + 1)]
+
+
+def test_polynomial_tier_matches_symbolic_series():
+    pairs = [(m, n) for m in _monomials(2) for n in _monomials(2)]
+    stars = {pair: _symbolic_star(*pair) for pair in pairs}
+    tmaps = {m: _symbolic_tmap(m) for m in _monomials(6)}
+
+    def expected(oracle, args):
+        keys, coefficients = oracle
+        return Polynomial2(dict(zip(keys, coefficients(*args))))
+
+    rng = np.random.default_rng(10)
+    for params in [random_params(rng) for _ in range(6)]:
+        t, phi = params.theta, (params.phi11, params.phi12, params.phi22)
+        kernel = (0.5j * phi[0], 0.5j * (phi[1] + t), 0.5j * (phi[1] - t), 0.5j * phi[2])
+        for m, n in pairs:
+            f, g = Polynomial2({m: 1.0}), Polynomial2({n: 1.0})
+            fg = expected(stars[m, n], kernel)
+            gf = expected(stars[n, m], kernel)
+            assert star_poly(f, g, params).max_diff(fg) < 1e-13
+            assert star_commutator(f, g, params).max_diff(fg - gf) < 1e-13
+        for m, oracle in tmaps.items():
+            got = tmap_poly(Polynomial2({m: 1.0}), params)
+            assert got.max_diff(expected(oracle, phi)) < 1e-13
 
 
 # -- deformed coordinate operators ---------------------------------------

@@ -139,6 +139,17 @@ def test_star_wave_agrees_with_star_poly_on_taylor_expansions():
         assert worst < 1e-8
 
 
+def test_star_wave_and_tmap_wave_overflow_is_a_validation_error():
+    # Voros: exp(40 x1) * exp(41 x1) picks up exp(820), and T multiplies
+    # exp(81 x1) by exp(1640.25); both overflow cmath.exp
+    voros = preset_params("voros", 1.0)
+    f, g = WaveSum.plane_wave(-40j, 0), WaveSum.plane_wave(-41j, 0)
+    with pytest.raises(ValidationError, match="star_wave.*overflows"):
+        star_wave(f, g, voros)
+    with pytest.raises(ValidationError, match="tmap_wave.*overflows"):
+        tmap_wave(f.pointwise_mul(g), voros)
+
+
 # -- equivalence map ---------------------------------------------------------
 
 
