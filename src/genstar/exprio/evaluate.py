@@ -38,8 +38,6 @@ def _scalar_wave(c: complex, frame: str) -> WaveSum:
 
 
 def _add(a: Value, b: Value) -> Value:
-    if isinstance(a, complex) and isinstance(b, complex):
-        return a + b
     if isinstance(a, WaveSum) or isinstance(b, WaveSum):
         if isinstance(a, complex):
             a = _scalar_wave(a, b.frame)
@@ -48,14 +46,12 @@ def _add(a: Value, b: Value) -> Value:
         if not isinstance(a, WaveSum) or not isinstance(b, WaveSum):
             raise EvaluationError("cannot add a polynomial and an exponential sum")
         return a + b
-    return a + b  # Polynomial2 handles scalars and frame checks
+    return a + b  # scalars, or Polynomial2, which handles scalars and frame checks
 
 
 def _mul(a: Value, b: Value) -> Value:
-    if isinstance(a, complex) and isinstance(b, complex):
-        return a * b
     if isinstance(a, complex) or isinstance(b, complex):
-        return a * b if not isinstance(a, complex) else b * a
+        return b * a if isinstance(a, complex) else a * b
     if isinstance(a, WaveSum) and isinstance(b, WaveSum):
         return a.pointwise_mul(b)
     if isinstance(a, Polynomial2) and isinstance(b, Polynomial2):
@@ -64,13 +60,15 @@ def _mul(a: Value, b: Value) -> Value:
 
 
 def _pow(a: Value, n: int) -> Value:
-    if isinstance(a, complex):
+    if not isinstance(a, WaveSum):
         return a**n
-    if isinstance(a, Polynomial2):
-        return a**n
+    # by squaring, on the schedule of Polynomial2.__pow__
     out: Value = 1.0 + 0j
-    for _ in range(n):
-        out = _mul(out, a)
+    while n:
+        if n & 1:
+            out = _mul(out, a)
+        a = _mul(a, a) if n > 1 else a
+        n >>= 1
     return out
 
 
@@ -112,8 +110,7 @@ def _eval(node: Node, params: DeformationParams) -> Value:
     if isinstance(node, Add):
         return _add(_eval(node.left, params), _eval(node.right, params))
     if isinstance(node, Sub):
-        right = _eval(node.right, params)
-        right = -right
+        right = -_eval(node.right, params)
         return _add(_eval(node.left, params), right)
     if isinstance(node, Mul):
         return _mul(_eval(node.left, params), _eval(node.right, params))

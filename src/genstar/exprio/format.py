@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..polystar import CARTESIAN, Polynomial2
-from ..wavestar import WaveSum
+from ..wavestar import WaveSum, _eigenvalues
 from .evaluate import Value
 from .parser import format_complex
 
@@ -60,14 +60,9 @@ def format_wavesum(ws: WaveSum) -> str:
         return "0"
     names = ("x1", "x2") if ws.frame == CARTESIAN else ("z", "zbar")
     parts = []
-    for t in sorted(
-        ws.terms, key=lambda t: (t.wavevector[0].real, t.wavevector[0].imag,
-                                 t.wavevector[1].real, t.wavevector[1].imag)
-    ):
-        if ws.frame == CARTESIAN:
-            coeffs = (1j * t.wavevector[0], 1j * t.wavevector[1])
-        else:
-            coeffs = t.wavevector
+    # the exponent's coefficients are the derivative eigenvalues; the
+    # terms arrive sorted by wavevector
+    for t, coeffs in zip(ws.terms, _eigenvalues(ws)):
         exp_parts = []
         for c, name in zip(coeffs, names):
             if c == 0:

@@ -294,12 +294,14 @@ def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
 
 
 def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> float:
-    """max |T(f *_M g) - T(f) * T(g)| over coefficients; the polynomial
-    counterpart of wavestar.equivalence_residual, zero for every symmetric
-    Phi up to rounding."""
+    """max |T(f *_M g) - T(f) * T(g)| over coefficients, relative to max(1,
+    the largest coefficient on either side); the polynomial counterpart of
+    wavestar.equivalence_residual, zero for every symmetric Phi up to
+    rounding."""
     lhs = tmap_poly(star_poly(f, g, params.moyal()), params)
     rhs = star_poly(tmap_poly(f, params), tmap_poly(g, params), params)
-    return lhs.max_diff(rhs)
+    scale = max([1.0] + [abs(c) for c in (*lhs._terms.values(), *rhs._terms.values())])
+    return lhs.max_diff(rhs) / scale
 
 
 def xhat_apply(mu: int, f: Polynomial2, params: DeformationParams) -> Polynomial2:

@@ -6,6 +6,12 @@ module exploits to check the equivalence map in momentum space and to
 evaluate the resolution-of-identity amplitudes for position-like and
 coherent states.  Plane integrals are distributional bookkeeping (deltas),
 never quadrature.
+
+Every WaveSum is canonical, by one rule (``_merge``): terms whose
+wavevector components fall in the same WVEC_TOL cells merge, each group's
+amplitude is the exactly rounded sum of its parts, a group is dropped only
+when it cancels to within AMP_TOL of the mass that went into it, and the
+terms are sorted by wavevector.  The result does not depend on term order.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import CARTESIAN, COMPLEX, FRAMES, DeformationParams, _finite_complex, star_kernel
+from .deformation import CARTESIAN, COMPLEX, FRAMES, DeformationParams, star_kernel
 from .errors import (
     DivergentIntegralError,
     FrameMismatchError,
@@ -26,10 +32,12 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-#: amplitudes below this magnitude are treated as zero when merging terms
+#: a merged group is dropped when |sum| <= AMP_TOL * (sum of |parts|): exact
+#: cancellations go, a lone amplitude stays however small unless it is 0
 AMP_TOL = 1e-14
 
-#: wavevectors closer than this are considered equal when merging/matching
+#: wavevector components are snapped to cells of this width; terms whose four
+#: real components share cells merge
 WVEC_TOL = 1e-9
 
 #: a plane integral whose frequency has an imaginary part above this diverges
@@ -43,23 +51,13 @@ class ExpLinearTerm:
     Cartesian frame: A * exp(i(k1 x1 + k2 x2)) with wavevector (k1, k2).
     Complex frame:   A * exp(a z + b zbar) with wavevector (a, b).
     Complex wavevector components are allowed; they encode Gaussian
-    damping factors and the z-frame exponents of state overlaps.
+    damping factors and the z-frame exponents of state overlaps.  A term is
+    checked when a WaveSum is built from it.
     """
 
     amplitude: complex
     frame: str
     wavevector: tuple[complex, complex]
-
-    def __post_init__(self):
-        if self.frame not in FRAMES:
-            raise ValidationError(f"unknown frame {self.frame!r}")
-        amp = _finite_complex("amplitude", self.amplitude)
-        k = (
-            _finite_complex("wavevector[0]", self.wavevector[0]),
-            _finite_complex("wavevector[1]", self.wavevector[1]),
-        )
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "wavevector", k)
 
     def evaluate(self, v1, v2) -> complex:
         a, b = self.wavevector
@@ -72,9 +70,8 @@ class ExpLinearTerm:
 class WaveSum:
     """Finite sum of exponential-linear terms sharing one frame.
 
-    Terms with (numerically) equal wavevectors are merged on construction
-    and zero-amplitude terms are dropped; the empty sum is the zero
-    function.
+    The terms are merged, pruned and sorted on construction (see the module
+    docstring); the empty sum is the zero function.
     """
 
     terms: tuple[ExpLinearTerm, ...]
@@ -83,12 +80,7 @@ class WaveSum:
     def __post_init__(self):
         if self.frame not in FRAMES:
             raise ValidationError(f"unknown frame {self.frame!r}")
-        for t in self.terms:
-            if t.frame != self.frame:
-                raise FrameMismatchError(
-                    f"term frame {t.frame!r} does not match sum frame {self.frame!r}"
-                )
-        object.__setattr__(self, "terms", _merge_terms(self.terms, self.frame))
+        object.__setattr__(self, "terms", _merge(self.terms, self.frame))
 
     @classmethod
     def zero(cls, frame: str = CARTESIAN) -> "WaveSum":
@@ -152,19 +144,45 @@ class WaveSum:
         return sum((t.evaluate(v1, v2) for t in self.terms), 0j)
 
 
-def _merge_terms(terms, frame) -> tuple[ExpLinearTerm, ...]:
-    merged: list[list] = []  # [k1, k2, amplitude]
+def _order(t: ExpLinearTerm) -> tuple[float, float, float, float]:
+    k1, k2 = t.wavevector
+    return (k1.real, k1.imag, k2.real, k2.imag)
+
+
+def _merge(terms, frame: str, prune: bool = True) -> tuple[ExpLinearTerm, ...]:
+    """The one place wave terms are checked, matched, summed and pruned, by
+    the rule in the module docstring; prune=False keeps every group.  Terms
+    must be in `frame` with finite amplitudes and wavevectors."""
+    groups: dict[tuple, list[ExpLinearTerm]] = {}
     for t in terms:
-        k1, k2 = t.wavevector
-        for slot in merged:
-            if abs(slot[0] - k1) <= WVEC_TOL and abs(slot[1] - k2) <= WVEC_TOL:
-                slot[2] += t.amplitude
-                break
-        else:
-            merged.append([k1, k2, t.amplitude])
-    return tuple(
-        ExpLinearTerm(amp, frame, (k1, k2)) for k1, k2, amp in merged if abs(amp) > AMP_TOL
-    )
+        if t.frame != frame:
+            raise FrameMismatchError(f"term frame {t.frame!r} does not match sum frame {frame!r}")
+        a, (k1, k2) = t.amplitude, t.wavevector
+        try:
+            if not (cmath.isfinite(a) and cmath.isfinite(k1) and cmath.isfinite(k2)):
+                raise ValidationError(f"wave term {a!r} at wavevector {(k1, k2)!r} is not finite")
+        except TypeError as exc:
+            raise ValidationError(f"a wave term needs complex numbers: {exc}") from exc
+        # x - remainder(x, WVEC_TOL) is x snapped to its cell n * WVEC_TOL; remainder is
+        # exact, so the key depends on n alone, never overflows, and keeps distinct huge x apart
+        x1, y1, x2, y2 = _order(t)
+        key = (x1 - math.remainder(x1, WVEC_TOL), y1 - math.remainder(y1, WVEC_TOL),
+               x2 - math.remainder(x2, WVEC_TOL), y2 - math.remainder(y2, WVEC_TOL))
+        groups.setdefault(key, []).append(t)
+    out = [g[0] for g in groups.values() if len(g) == 1 and not (prune and g[0].amplitude == 0)]
+    for group in (g for g in groups.values() if len(g) > 1):
+        try:
+            total = complex(math.fsum(t.amplitude.real for t in group),
+                            math.fsum(t.amplitude.imag for t in group))
+            if prune and abs(total) <= AMP_TOL * math.fsum(abs(t.amplitude) for t in group):
+                continue
+        except OverflowError as exc:
+            raise ValidationError(f"merged wave amplitudes overflow: {exc}") from exc
+        k1, k2 = min(group, key=_order).wavevector
+        # + 0j: tied wavevectors may differ in the sign of a zero component
+        out.append(ExpLinearTerm(total, frame, (k1 + 0j, k2 + 0j)))
+    out.sort(key=_order)
+    return tuple(out)
 
 
 def _eigenvalues(f: WaveSum) -> list[tuple[complex, complex]]:
@@ -227,30 +245,16 @@ def tmap_wave(f: WaveSum, params: DeformationParams) -> WaveSum:
 
 
 def max_amplitude_diff(f: WaveSum, g: WaveSum) -> float:
-    """Largest termwise amplitude difference after matching wavevectors;
-    unmatched terms contribute their full magnitude."""
-    if f.frame != g.frame:
-        raise FrameMismatchError("cannot compare sums in different frames")
-    rest = list(g.terms)
-    worst = 0.0
-    for s in f.terms:
-        for j, t in enumerate(rest):
-            if (
-                abs(s.wavevector[0] - t.wavevector[0]) <= WVEC_TOL
-                and abs(s.wavevector[1] - t.wavevector[1]) <= WVEC_TOL
-            ):
-                worst = max(worst, abs(s.amplitude - t.amplitude))
-                rest.pop(j)
-                break
-        else:
-            worst = max(worst, abs(s.amplitude))
-    for t in rest:
-        worst = max(worst, abs(t.amplitude))
-    return worst
+    """Largest |amplitude| of f - g per wavevector cell, before pruning;
+    a term without a partner contributes its full magnitude."""
+    negated = tuple(ExpLinearTerm(-t.amplitude, t.frame, t.wavevector) for t in g.terms)
+    merged = _merge(f.terms + negated, f.frame, prune=False)
+    return max((abs(t.amplitude) for t in merged), default=0.0)
 
 
 def equivalence_residual(f: WaveSum, g: WaveSum, params: DeformationParams) -> float:
-    """max |T(f *_M g) - T(f) * T(g)| over matched terms.
+    """max |T(f *_M g) - T(f) * T(g)| over matched terms, relative to
+    max(1, the largest amplitude on either side).
 
     Identically zero for every symmetric Phi; returning the residual lets
     callers verify the identity at a stated tolerance.
@@ -260,7 +264,8 @@ def equivalence_residual(f: WaveSum, g: WaveSum, params: DeformationParams) -> f
     moyal = params.moyal()
     lhs = tmap_wave(star_wave(f, g, moyal), params)
     rhs = star_wave(tmap_wave(f, params), tmap_wave(g, params), params)
-    return max_amplitude_diff(lhs, rhs)
+    scale = max([1.0] + [abs(t.amplitude) for t in lhs.terms + rhs.terms])
+    return max_amplitude_diff(lhs, rhs) / scale
 
 
 # -- distributional plane integrals -------------------------------------
@@ -278,8 +283,8 @@ class DeltaTerm:
 def _single_term(f: WaveSum, name: str) -> ExpLinearTerm:
     if len(f.terms) != 1:
         raise ValidationError(
-            f"{name} needs a one-term sum, got {len(f.terms)} terms (an amplitude that "
-            f"underflows to |amplitude| <= AMP_TOL = {AMP_TOL:g} is dropped)"
+            f"{name} needs a one-term sum, got {len(f.terms)} terms (a term whose "
+            f"amplitude is exactly 0, for example after an underflow, is dropped)"
         )
     return f.terms[0]
 

@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -469,11 +470,22 @@ def test_cli_kernel_finding_exit_code(capsys):
 
 
 def test_cli_kernel_amplitude_underflow_is_error(capsys):
-    # at |p| = 20 the coherent-state amplitudes fall below AMP_TOL
-    code = main(["kernel", "coherent", "--preset", "voros", "--grid=-20:20:5"])
+    # at |p| = 20 the coherent-state Gaussians are tiny but not 0: Voros resolves
+    code = main(["kernel", "coherent", "--preset", "voros", "--grid=-20:20:5", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["outputs"]["max_deviation"] <= 1e-12
+    # Moyal keeps the Gaussian exp(-theta |p|^2 / 2), down to exp(-200): a finding
+    args = ["--preset", "moyal", "--theta", "2", "--grid=-10:10:31", "--format", "json"]
+    code = main(["kernel", "coherent", *args])
+    assert code == 1
+    for pt in json.loads(capsys.readouterr().out)["tasks"][0]["outputs"]["points"]:
+        want = math.exp(-(pt["p1"] ** 2 + pt["p2"] ** 2))
+        assert abs(complex(pt["amp_re"], pt["amp_im"]) - want) <= 1e-12 * want
+    # at theta = 2, |p|^2 = 1800 the Gaussian exp(-900) is exactly 0: an error report
+    code = main(["kernel", "coherent", "--preset", "voros", "--theta", "2", "--grid=-30:30:3"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "AMP_TOL" in captured.out
+    assert "exactly 0" in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genstar import (
     DivergentIntegralError,
+    ExpLinearTerm,
     FrameMismatchError,
     Polynomial2,
     SingularParameterError,
@@ -30,7 +33,7 @@ from genstar import (
     tmap_wave,
 )
 from genstar.suites import random_params, random_wavesum
-from genstar.wavestar import AMP_TOL, roi_diagonal
+from genstar.wavestar import roi_diagonal
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,11 +45,65 @@ def test_equal_wavevectors_merge():
     w = WaveSum.plane_wave(1.0, 2.0, 0.5) + WaveSum.plane_wave(1.0, 2.0, 0.25j)
     assert len(w.terms) == 1
     assert w.terms[0].amplitude == 0.5 + 0.25j
+    # near the float limit the cells neither overflow nor join neighbouring floats
+    huge, below = 1.7e308, math.nextafter(1.7e308, 0.0)
+    w = WaveSum.plane_wave(huge, -huge) + WaveSum.plane_wave(huge, -huge)
+    assert [(t.amplitude, t.wavevector) for t in w.terms] == [(2, (huge, -huge))]
+    w = WaveSum.plane_wave(huge, 0.0) + WaveSum.plane_wave(below, 0.0)
+    assert [t.wavevector[0] for t in w.terms] == [below, huge]
 
 
 def test_cancelling_terms_leave_zero():
     w = WaveSum.plane_wave(1.0, 0.0, 1.0) - WaveSum.plane_wave(1.0, 0.0, 1.0)
     assert w.is_zero
+
+
+def test_near_degenerate_wavevectors_merge_by_cell_in_any_order():
+    # 0, 0.9e-9 and 1.8e-9 sit in three WVEC_TOL cells, whatever the order
+    ks = (0.0, 0.9e-9, 1.8e-9)
+    forward = sum((WaveSum.plane_wave(k, 0.0) for k in ks), WaveSum.zero())
+    reverse = sum((WaveSum.plane_wave(k, 0.0) for k in reversed(ks)), WaveSum.zero())
+    assert forward.terms == reverse.terms
+    assert [t.wavevector[0] for t in forward.terms] == list(ks)
+
+
+#: few components, so wavevectors repeat; signed zeros and near-degenerate
+#: neighbours; amplitudes that cancel exactly or whose sum depends on order
+_COMPONENTS = st.sampled_from((0.0, -0.0, 0.9e-9, 1.8e-9, 1.0, 1.0 + 1e-12))
+_AMPLITUDES = st.sampled_from((1.0, -1.0, 0.1, 0.2, 0.3, 1e-20, 0.5j, -0.5j))
+_TERMS = st.lists(st.tuples(_AMPLITUDES, _COMPONENTS, _COMPONENTS), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS, _TERMS, st.randoms(use_true_random=False), st.sampled_from(("moyal", "voros")))
+def test_star_wave_does_not_depend_on_term_order(fterms, gterms, rnd, preset):
+    def build(terms):
+        return WaveSum(tuple(ExpLinearTerm(a, "cartesian", (k1, k2)) for a, k1, k2 in terms))
+
+    params = preset_params(preset, 0.8)
+    want = star_wave(build(fterms), build(gterms), params)
+    rnd.shuffle(fterms)
+    rnd.shuffle(gterms)
+    got = star_wave(build(fterms), build(gterms), params)
+    assert repr(got.terms) == repr(want.terms)
+    order = [(k1.real, k1.imag, k2.real, k2.imag) for k1, k2 in (t.wavevector for t in got.terms)]
+    assert order == sorted(order)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_nonfinite_wave_terms_are_validation_errors(bad):
+    for build in (
+        lambda: WaveSum.plane_wave(1.0, 0.0, amplitude=bad),
+        lambda: WaveSum.plane_wave(bad, 0.0),
+        lambda: WaveSum.z_exponential(0.0, bad),
+        lambda: WaveSum.z_exponential(1.0, 0.0, amplitude=bad),
+        lambda: WaveSum((ExpLinearTerm(bad, "cartesian", (0j, 0j)),)),
+        lambda: WaveSum((ExpLinearTerm(1 + 0j, "complex", (0j, complex(bad))),), "complex"),
+    ):
+        with pytest.raises(ValidationError, match="not finite"):
+            build()
+    with pytest.raises(ValidationError, match="complex numbers"):
+        WaveSum((ExpLinearTerm("x", "cartesian", (0j, 0j)),))
 
 
 def test_frame_mismatch():
@@ -148,6 +205,10 @@ def test_star_wave_and_tmap_wave_overflow_is_a_validation_error():
         star_wave(f, g, voros)
     with pytest.raises(ValidationError, match="tmap_wave.*overflows"):
         tmap_wave(f.pointwise_mul(g), voros)
+    # the factor is finite but the amplitude product 1e200 * 1e200 is not
+    big = WaveSum.plane_wave(0.0, 0.0, amplitude=1e200)
+    with pytest.raises(ValidationError, match="not finite"):
+        star_wave(big, big, voros)
 
 
 # -- equivalence map ---------------------------------------------------------
@@ -217,19 +278,28 @@ def test_plane_integral_z_oscillatory_and_divergent():
     [(plane_integral_cartesian, WaveSum.plane_wave), (plane_integral_z, WaveSum.z_exponential)],
 )
 def test_plane_integrals_take_exactly_one_term(integral, wave):
-    # an amplitude at or below AMP_TOL is dropped on construction: zero terms
-    underflowed = wave(0.5j, 0.5j, amplitude=AMP_TOL / 2)
-    assert underflowed.is_zero
-    with pytest.raises(ValidationError, match="got 0 terms.*AMP_TOL"):
-        integral(underflowed)
+    # an amplitude of exactly 0 is dropped on construction: zero terms
+    empty = wave(0.5j, 0.5j, amplitude=0.0)
+    assert empty.is_zero
+    with pytest.raises(ValidationError, match="got 0 terms.*exactly 0"):
+        integral(empty)
     with pytest.raises(ValidationError, match="got 2 terms"):
         integral(wave(0.5j, 0.5j) + wave(1j, -1j))
 
 
 def test_roi_amplitude_underflow_is_a_validation_error():
-    # exp(-theta |p|^2 / 4) at |p| = 20 is far below AMP_TOL
-    with pytest.raises(ValidationError, match="AMP_TOL"):
-        coherent_roi_amplitude(preset_params("voros", 1.0), 20 + 0j, 20 + 0j)
+    # at |p| = 20 the state Gaussians exp(-theta |p|^2 / 4) are tiny but not 0,
+    # so they survive: the Voros kernel cancels them to 1, Moyal keeps
+    # exp(-theta |p|^2 / 2)
+    for preset, theta, p, want in (
+        ("voros", 1.0, 20 + 20j, 1.0),
+        ("moyal", 2.0, 10 + 10j, math.exp(-200.0)),
+    ):
+        got = coherent_roi_amplitude(preset_params(preset, theta), p, p)
+        assert abs(got - want) <= 1e-12 * want
+    # at theta = 2, |p|^2 = 1800 the Gaussian exp(-900) is exactly 0
+    with pytest.raises(ValidationError, match="got 0 terms.*exactly 0"):
+        coherent_roi_amplitude(preset_params("voros", 2.0), 30 + 30j, 30 + 30j)
 
 
 # -- overlaps -----------------------------------------------------------------
