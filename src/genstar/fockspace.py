@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import DeformationParams
+from .deformation import DeformationParams, _finite_complex
 from .errors import DimensionMismatchError, SingularParameterError, ValidationError
 from .wavestar import coherent_momentum_overlap
 
@@ -56,10 +56,6 @@ class FockOp:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
 
     def __matmul__(self, other):
-        if isinstance(other, FockVec):
-            if other.dim != self.dim:
-                raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
-            return FockVec(self.dim, self.matrix @ other.components)
         self._check(other)
         return FockOp(self.dim, self.matrix @ other.matrix)
 
@@ -81,45 +77,26 @@ class FockOp:
         return FockOp(self.dim, self.matrix @ other.matrix - other.matrix @ self.matrix)
 
 
-@dataclass(frozen=True)
-class FockVec:
-    """Element of the truncated configuration space."""
-
-    dim: int
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.components, dtype=complex)
-        if v.shape != (self.dim,):
-            raise ValidationError(f"components shape {v.shape} does not match dim {self.dim}")
-        if not np.isfinite(v).all():
-            raise ValidationError("components must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "components", v)
-
-
 def ladder_ops(dim: int) -> tuple[FockOp, FockOp]:
     """Annihilation/creation pair (b, bdag) with b|n> = sqrt(n)|n-1>.
 
     At finite truncation [b, bdag] equals the identity except in the last
     diagonal entry, which is 1 - dim.
     """
-    if dim < 2:
-        raise ValidationError(f"truncation dimension must be >= 2, got {dim}")
     b = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
     return FockOp(dim, b), FockOp(dim, b.conj().T)
 
 
-def coherent_vector(z, dim: int) -> FockVec:
-    """Normalized coherent state exp(-|z|^2/2) sum_n z^n/sqrt(n!) |n>.
+def coherent_vector(z, dim: int) -> np.ndarray:
+    """Normalized coherent state exp(-|z|^2/2) sum_n z^n/sqrt(n!) |n>, as a
+    read-only vector of its dim components.
 
     Warns when the truncated tail mass exp(-|z|^2)|z|^(2 dim)/dim! is not
     below 1e-12.
     """
     if dim < 2:
         raise ValidationError(f"truncation dimension must be >= 2, got {dim}")
-    z = complex(z)
+    z = _finite_complex("z", z)  # a finite z keeps every component finite
     if abs(z) > 0.0:
         log_tail = -abs(z) ** 2 + 2 * dim * math.log(abs(z)) - math.lgamma(dim + 1)
         if log_tail > math.log(COHERENT_TAIL_TOL):
@@ -133,22 +110,22 @@ def coherent_vector(z, dim: int) -> FockVec:
     v[0] = math.exp(-abs(z) ** 2 / 2.0)
     for n in range(1, dim):
         v[n] = v[n - 1] * z / math.sqrt(n)
-    return FockVec(dim, v)
+    v.setflags(write=False)
+    return v
 
 
 def coherent_projector(z, dim: int) -> FockOp:
     """Rank-1 operator |z><z|; the minimum-uncertainty element of the
     quantum Hilbert space."""
-    v = coherent_vector(z, dim).components
+    v = coherent_vector(z, dim)
     return FockOp(dim, np.outer(v, v.conj()))
 
 
 def hs_inner(phi: FockOp, psi: FockOp) -> complex:
     """Hilbert-Schmidt inner product trace(phi^dag psi)."""
-    if not isinstance(phi, FockOp) or not isinstance(psi, FockOp):
+    if not isinstance(phi, FockOp):
         raise TypeError("hs_inner expects two FockOp operands")
-    if phi.dim != psi.dim:
-        raise DimensionMismatchError(f"dim {phi.dim} vs {psi.dim}")
+    phi._check(psi)
     return complex(np.vdot(phi.matrix, psi.matrix))
 
 
@@ -156,10 +133,10 @@ def hs_inner(phi: FockOp, psi: FockOp) -> complex:
 class QuantumOps:
     """Position/momentum/ladder actions on the quantum Hilbert space.
 
-    Positions act by left multiplication, momenta adjointly:
-    P1 psi = (1/theta)[x2, psi], P2 psi = -(1/theta)[x1, psi], and the
-    complex combination acts as P psi = -i sqrt(2/theta)[b, psi].  B is
-    left multiplication by b.  hbar = 1.
+    Every action is a left multiplication or a commutator: X1, X2 and B
+    multiply by x1, x2 and b from the left; P1 psi = (1/theta)[x2, psi],
+    P2 psi = -(1/theta)[x1, psi], and the complex combination acts as
+    P psi = -i sqrt(2/theta)[b, psi].  hbar = 1.
     """
 
     theta: float
@@ -169,37 +146,23 @@ class QuantumOps:
     x1: FockOp
     x2: FockOp
 
-    def _check(self, psi: FockOp):
-        if psi.dim != self.dim:
-            raise DimensionMismatchError(f"dim {self.dim} vs {psi.dim}")
-
     def X1(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        return FockOp(self.dim, self.x1.matrix @ psi.matrix)
+        return self.x1 @ psi
 
     def X2(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        return FockOp(self.dim, self.x2.matrix @ psi.matrix)
-
-    def P1(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        m = psi.matrix
-        return FockOp(self.dim, (self.x2.matrix @ m - m @ self.x2.matrix) / self.theta)
-
-    def P2(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        m = psi.matrix
-        return FockOp(self.dim, -(self.x1.matrix @ m - m @ self.x1.matrix) / self.theta)
+        return self.x2 @ psi
 
     def B(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        return FockOp(self.dim, self.b.matrix @ psi.matrix)
+        return self.b @ psi
+
+    def P1(self, psi: FockOp) -> FockOp:
+        return FockOp(self.dim, self.x2.commutator(psi).matrix / self.theta)
+
+    def P2(self, psi: FockOp) -> FockOp:
+        return FockOp(self.dim, -self.x1.commutator(psi).matrix / self.theta)
 
     def P(self, psi: FockOp) -> FockOp:
-        self._check(psi)
-        m = psi.matrix
-        c = -1j * math.sqrt(2.0 / self.theta)
-        return FockOp(self.dim, c * (self.b.matrix @ m - m @ self.b.matrix))
+        return self.b.commutator(psi) * (-1j * math.sqrt(2.0 / self.theta))
 
 
 def quantum_ops(params: DeformationParams, dim: int) -> QuantumOps:

@@ -7,6 +7,13 @@ evaluate the resolution-of-identity amplitudes for position-like and
 coherent states.  Plane integrals are distributional bookkeeping (deltas),
 never quadrature.
 
+The two state families are one family carried by the equivalence map: T
+multiplies exp(i p.x) by exp(-(i/4) Phi(p, p)), and on the diagonal p = p'
+the star pair factor exp((i/2) Phi(p, p)) meets the two T factors, so the
+T_Phi-images of position states resolve the identity under *_Phi for
+every Phi.  At Voros T is the coherent Gaussian exp(-theta |p|^2 / 4);
+coherent_roi_kernel is the position kernel transported that way.
+
 Every WaveSum is canonical, by one rule (``_merge``): terms whose
 wavevector components fall in the same WVEC_TOL cells merge, each group's
 amplitude is the exactly rounded sum of its parts, a group is dropped only
@@ -89,14 +96,12 @@ class WaveSum:
     @classmethod
     def plane_wave(cls, k1, k2, amplitude=1.0) -> "WaveSum":
         """amplitude * exp(i(k1 x1 + k2 x2))."""
-        term = ExpLinearTerm(complex(amplitude), CARTESIAN, (complex(k1), complex(k2)))
-        return cls((term,), CARTESIAN)
+        return cls((_term(CARTESIAN, amplitude, k1, k2),), CARTESIAN)
 
     @classmethod
     def z_exponential(cls, a, b, amplitude=1.0) -> "WaveSum":
         """amplitude * exp(a z + b zbar)."""
-        term = ExpLinearTerm(complex(amplitude), COMPLEX, (complex(a), complex(b)))
-        return cls((term,), COMPLEX)
+        return cls((_term(COMPLEX, amplitude, a, b),), COMPLEX)
 
     @property
     def is_zero(self) -> bool:
@@ -142,6 +147,13 @@ class WaveSum:
 
     def evaluate(self, v1, v2) -> complex:
         return sum((t.evaluate(v1, v2) for t in self.terms), 0j)
+
+
+def _term(frame: str, amplitude, k1, k2) -> ExpLinearTerm:
+    try:
+        return ExpLinearTerm(complex(amplitude), frame, (complex(k1), complex(k2)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"a wave term needs complex numbers: {exc}") from exc
 
 
 def _order(t: ExpLinearTerm) -> tuple[float, float, float, float]:
@@ -354,20 +366,25 @@ def position_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     return delta.amplitude  # the (2 pi)^2 delta weight cancels the 1/(2 pi)^2 prefactors
 
 
-def coherent_momentum_overlap(z, p, theta) -> complex:
-    """Closed-form coherent/momentum-state overlap:
-    sqrt(theta/2 pi) exp(-theta |p|^2 / 4) exp(i sqrt(theta/2)(p zbar + pbar z))."""
+def _coherent_state(theta, *momenta) -> tuple[float, float, list[complex]]:
+    """theta as a float, s = sqrt(theta/2) and, per momentum p, the weight
+    sqrt(theta/2 pi) exp(-theta |p|^2 / 4) of the coherent/momentum overlap
+    (z,zbar|p) = weight * exp(i s (p zbar + pbar z)); coherent states need
+    theta > 0."""
     t = float(theta)
     if t <= 0.0:
         raise SingularParameterError(f"coherent states need theta > 0, got {theta!r}")
+    pref = math.sqrt(t / TWO_PI)
+    return t, math.sqrt(t / 2.0), [pref * cmath.exp(-t * abs(p) ** 2 / 4.0) for p in momenta]
+
+
+def coherent_momentum_overlap(z, p, theta) -> complex:
+    """Closed-form coherent/momentum-state overlap:
+    sqrt(theta/2 pi) exp(-theta |p|^2 / 4) exp(i sqrt(theta/2)(p zbar + pbar z))."""
     z = complex(z)
     p = complex(p)
-    s = math.sqrt(t / 2.0)
-    return (
-        math.sqrt(t / TWO_PI)
-        * cmath.exp(-t * abs(p) ** 2 / 4.0)
-        * cmath.exp(1j * s * (p * z.conjugate() + p.conjugate() * z))
-    )
+    _, s, (weight,) = _coherent_state(theta, p)
+    return weight * cmath.exp(1j * s * (p * z.conjugate() + p.conjugate() * z))
 
 
 def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
@@ -378,20 +395,12 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     integrated distributionally; only the diagonal p = p' carries the
     identity-resolution verdict.  Voros parameters give exactly 1.
     """
-    t = params.theta
-    if t <= 0.0:
-        raise SingularParameterError(f"coherent states need theta > 0, got {params.theta!r}")
     p = complex(p)
     q = complex(pprime)
-    s = math.sqrt(t / 2.0)
-    pref = math.sqrt(t / TWO_PI)
+    t, s, (bra_weight, ket_weight) = _coherent_state(params.theta, q, p)
     # (p'|z,zbar) = conj[(z,zbar|p')] and (z,zbar|p), as functions of (z, zbar)
-    bra = WaveSum.z_exponential(
-        -1j * s * q.conjugate(), -1j * s * q, amplitude=pref * cmath.exp(-t * abs(q) ** 2 / 4.0)
-    )
-    ket = WaveSum.z_exponential(
-        1j * s * p.conjugate(), 1j * s * p, amplitude=pref * cmath.exp(-t * abs(p) ** 2 / 4.0)
-    )
+    bra = WaveSum.z_exponential(-1j * s * q.conjugate(), -1j * s * q, amplitude=bra_weight)
+    ket = WaveSum.z_exponential(1j * s * p.conjugate(), 1j * s * p, amplitude=ket_weight)
     delta = plane_integral_z(star_wave(bra, ket, params))
     # delta(2s(p1-p1')) delta(2s(p2-p2')) = delta2(p - p') / (2 theta)
     return delta.amplitude / (2.0 * t)
@@ -450,35 +459,32 @@ class KernelAmplitude:
         }
 
 
-def position_roi_kernel(params: DeformationParams) -> KernelAmplitude:
-    """The position-state identity-resolution amplitude as a quadratic
-    form: exponent (i/2)(Phi + Theta)_ij p_i p'_j."""
+def _position_form(params: DeformationParams) -> np.ndarray:
+    """Q of the exponent (i/2)(Phi + Theta)_ij p_i p'_j on (p1, p2, p1', p2')."""
     bil = np.array(star_kernel(CARTESIAN, params), dtype=complex).reshape(2, 2)
     q = np.zeros((4, 4), dtype=complex)
     q[:2, 2:] = bil / 2.0
     q[2:, :2] = bil.T / 2.0
-    return KernelAmplitude(q)
+    return q
+
+
+def position_roi_kernel(params: DeformationParams) -> KernelAmplitude:
+    """The position-state identity-resolution amplitude as a quadratic
+    form: exponent (i/2)(Phi + Theta)_ij p_i p'_j."""
+    return KernelAmplitude(_position_form(params))
 
 
 def coherent_roi_kernel(params: DeformationParams) -> KernelAmplitude:
     """The coherent-state identity-resolution amplitude as a quadratic
-    form: Gaussian -theta(|p|^2 + |p'|^2)/4 plus the z-frame kernel
-    bilinear (theta/2)[czz pbar' pbar + czzbar pbar' p + czbarz p' pbar
-    + czbarzbar p' p] expanded over real momentum components."""
-    t = params.theta
-    if t <= 0.0:
-        raise SingularParameterError(f"coherent states need theta > 0, got {params.theta!r}")
-    czz, czzbar, czbarz, czbarzbar = star_kernel(COMPLEX, params)
-    w = t / 2.0
-    bil = np.zeros((2, 2), dtype=complex)  # indexed [unprimed axis, primed axis]
-    for coeff, sp, su in ((czz, -1, -1), (czzbar, -1, +1), (czbarz, +1, -1), (czbarzbar, +1, +1)):
-        # coeff * (p1' + sp*i*p2') * (p1 + su*i*p2)
-        bil[0, 0] += w * coeff
-        bil[1, 0] += w * coeff * (su * 1j)
-        bil[0, 1] += w * coeff * (sp * 1j)
-        bil[1, 1] += w * coeff * (su * 1j) * (sp * 1j)
-    q = np.zeros((4, 4), dtype=complex)
-    q[0, 0] = q[1, 1] = q[2, 2] = q[3, 3] = -t / 4.0
-    q[:2, 2:] += bil / 2.0
-    q[2:, :2] += bil.T / 2.0
-    return KernelAmplitude(q)
+    form, derived by transport from the position form.
+
+    At Voros, T multiplies exp(i p.x) by exp(-theta |p|^2 / 4), so
+    coherent states are T-transported position states.  The star product
+    is bilinear, so Q is the position form plus the Gaussian
+    -theta(|p|^2 + |p'|^2)/4 on the diagonal, with p and p' swapped because
+    the coherent bra carries p' where the position bra carries p.
+    """
+    t, _, _ = _coherent_state(params.theta)
+    swap = [2, 3, 0, 1]
+    q = _position_form(params)[np.ix_(swap, swap)]
+    return KernelAmplitude(q + np.diag(np.full(4, -t / 4.0)))

@@ -11,6 +11,7 @@ import scipy.linalg
 from genstar import (
     DimensionMismatchError,
     FockOp,
+    Polynomial2,
     SingularParameterError,
     ValidationError,
     coherent_momentum_overlap,
@@ -21,7 +22,9 @@ from genstar import (
     make_params,
     momentum_state_op,
     overlap_vs_closedform,
+    preset_params,
     quantum_ops,
+    star_poly,
 )
 from genstar.suites import random_interior_state
 
@@ -60,8 +63,14 @@ def test_fockop_dim_mismatch():
 
 def test_coherent_vector_vacuum():
     v = coherent_vector(0, 8)
-    assert v.components[0] == 1.0
-    assert np.allclose(v.components[1:], 0.0)
+    assert v[0] == 1.0
+    assert np.allclose(v[1:], 0.0)
+
+
+@pytest.mark.parametrize("z", [math.inf, complex(0, math.nan), "x"])
+def test_coherent_vector_rejects_nonfinite_z(z):
+    with pytest.raises(ValidationError, match="z must be"):
+        coherent_vector(z, 8)
 
 
 def test_coherent_projector_vacuum():
@@ -75,8 +84,8 @@ def test_coherent_vector_is_b_eigenvector():
     b, _ = ladder_ops(64)
     for z in (0.5, 0.1 + 0.3j, -0.9j):
         v = coherent_vector(z, 64)
-        got = b.matrix @ v.components
-        assert np.max(np.abs(got - z * v.components)) < 1e-10
+        got = b.matrix @ v
+        assert np.max(np.abs(got - z * v)) < 1e-10
 
 
 def test_coherent_projector_normalized_idempotent_hermitian():
@@ -183,6 +192,41 @@ def test_p_is_complex_combination():
     psi = FockOp(32, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
     combo = ops.P1(psi).matrix + 1j * ops.P2(psi).matrix
     assert np.max(np.abs(ops.P(psi).matrix - combo)) < 1e-12
+
+
+def test_quantum_ops_check_dimensions():
+    ops = quantum_ops(make_params(1.0), 8)
+    psi = FockOp(6, np.eye(6))
+    for action in (ops.X1, ops.X2, ops.P1, ops.P2, ops.B, ops.P):
+        with pytest.raises(DimensionMismatchError):
+            action(psi)
+
+
+def test_voros_product_composes_normal_ordered_operators():
+    # the Voros symbol of A is <z|A|z>: with A_f = sum c bdag^n2 b^n1 for
+    # f = sum c z^n1 zbar^n2, <z|A_f A_g|z> is (f *_Voros g)(z, zbar)
+    dim = 80
+    b, bdag = ladder_ops(dim)
+
+    def normal_ordered(f):
+        return sum(c * np.linalg.matrix_power(bdag.matrix, n2) @ np.linalg.matrix_power(b.matrix, n1)
+                   for (n1, n2), c in f.items())
+
+    rng = np.random.default_rng(21)
+
+    def random_poly():
+        terms = {(n1, n2): complex(*rng.normal(size=2))
+                 for n1 in range(4) for n2 in range(4 - n1) if rng.random() < 0.6}
+        return Polynomial2(terms, "complex")
+
+    for theta in (0.5, 1.0, 2.0):
+        for _ in range(10):
+            f, g = random_poly(), random_poly()
+            z = 1.4 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+            v = coherent_vector(z, dim)
+            got = np.vdot(v, normal_ordered(f) @ normal_ordered(g) @ v)
+            want = star_poly(f, g, preset_params("voros", theta)).evaluate(z, z.conjugate())
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # -- momentum states ----------------------------------------------------------

@@ -102,8 +102,14 @@ def test_nonfinite_wave_terms_are_validation_errors(bad):
     ):
         with pytest.raises(ValidationError, match="not finite"):
             build()
-    with pytest.raises(ValidationError, match="complex numbers"):
-        WaveSum((ExpLinearTerm("x", "cartesian", (0j, 0j)),))
+    for build in (
+        lambda: WaveSum((ExpLinearTerm("x", "cartesian", (0j, 0j)),)),
+        lambda: WaveSum.plane_wave("x", 0),
+        lambda: WaveSum.plane_wave(0, 0, amplitude=None),
+        lambda: WaveSum.z_exponential(0, "x"),
+    ):
+        with pytest.raises(ValidationError, match="complex numbers"):
+            build()
 
 
 def test_frame_mismatch():
@@ -453,6 +459,8 @@ def test_coherent_roi_requires_positive_theta():
         coherent_roi_amplitude(make_params(0.0), 1.0, 1.0)
     with pytest.raises(SingularParameterError):
         coherent_roi_amplitude(make_params(-1.0), 1.0, 1.0)
+    with pytest.raises(SingularParameterError):
+        coherent_roi_kernel(make_params(0.0))
 
 
 def test_coherent_roi_kernel_matches_amplitude():
@@ -464,6 +472,24 @@ def test_coherent_roi_kernel_matches_amplitude():
         q = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         got = kern.evaluate((p.real, p.imag), (q.real, q.imag))
         assert abs(got - coherent_roi_amplitude(params, p, q)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_transported_position_states_resolve_the_identity(scale):
+    # T-images of position states resolve the identity under *_Phi: on the
+    # diagonal the pair factor exp((i/2) Phi(p, p)) meets the two T factors
+    # exp(-(i/4) Phi(p, p)); theta and Phi scale by s, momenta by 1/sqrt(s)
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        theta = rng.uniform(0.2, 3.0)
+        phi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        params = make_params(scale * theta, *(scale * phi))
+        p1, p2 = rng.normal(size=2) / math.sqrt(scale)
+        bra = tmap_wave(WaveSum.plane_wave(-p1, -p2, amplitude=1.0 / TWO_PI), params)
+        ket = tmap_wave(WaveSum.plane_wave(p1, p2, amplitude=1.0 / TWO_PI), params)
+        delta = plane_integral_cartesian(star_wave(bra, ket, params))
+        assert delta.freq == (0.0, 0.0)
+        assert abs(delta.amplitude - 1.0) < 1e-12
 
 
 def test_kernel_json_shape():
