@@ -50,6 +50,15 @@ def _finite_real(name: str, value) -> float:
     return x
 
 
+def _positive_theta(theta, needed_by: str) -> float:
+    """theta as a finite float, for the constructions that need theta > 0:
+    coherent and momentum states, the Fock operators and the frame change."""
+    t = _finite_real("theta", theta)
+    if t <= 0.0:
+        raise SingularParameterError(f"{needed_by} theta > 0, got {theta!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class DeformationParams:
     """The pair (theta, Phi) that fixes one member of the product family.

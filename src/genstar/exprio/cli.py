@@ -15,20 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..deformation import make_params, preset_params
 from ..errors import EngineError
 from ..suites import SUITE_NAMES, run_suites
 from .evaluate import evaluate_expression, value_kind
 from .format import format_value
 from .parser import parse_expression
 from .report import FORMATS, emit_report, exit_code
-from .scenario import (
-    Scenario,
-    prepare_task,
-    load_scenario,
-    parse_complex_literal,
-    run_scenario,
-)
+from .scenario import TASKS, Scenario, build_params, load_scenario, prepare_task, run_scenario
 
 
 def _add_param_flags(sub: argparse.ArgumentParser):
@@ -38,17 +31,6 @@ def _add_param_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--phi22", default="0", help="complex literal")
     sub.add_argument(
         "--preset", choices=("moyal", "voros"), help="overrides the phi flags when given"
-    )
-
-
-def _params_from_args(args) -> "DeformationParams":
-    if args.preset:
-        return preset_params(args.preset, args.theta)
-    return make_params(
-        args.theta,
-        phi11=parse_complex_literal(args.phi11),
-        phi12=parse_complex_literal(args.phi12),
-        phi22=parse_complex_literal(args.phi22),
     )
 
 
@@ -62,7 +44,7 @@ def _write(payload: bytes, out: str | None):
 
 
 def _cmd_eval(args) -> int:
-    params = _params_from_args(args)
+    params = build_params(args.theta, args.preset, vars(args))
     value = evaluate_expression(parse_expression(args.expr), params)
     print(format_value(value))
     if args.verbose:
@@ -90,9 +72,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    params = _params_from_args(args)
-    kind = "position-roi" if args.which == "position" else "coherent-roi"
-    task = prepare_task(kind, {"grid": args.grid, "tol": str(args.tol)}, line=0)
+    params = build_params(args.theta, args.preset, vars(args))
+    given = {"grid": args.grid, "tol": args.tol}
+    options = {key: str(value) for key, value in given.items() if value is not None}
+    task = prepare_task(f"{args.which}-roi", options, line=0)
     scenario = Scenario(
         params=params,
         preset=args.preset,
@@ -135,12 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kernel = sub.add_parser("kernel", help="identity-resolution kernel on a grid")
     p_kernel.add_argument("which", choices=("position", "coherent"))
+    roi = TASKS["position-roi"][0]  # the same options and defaults as coherent-roi
     p_kernel.add_argument(
         "--grid",
-        default="-2:2:20",
-        help="min:max:count on both momentum axes; write --grid=-2:2:20 for negative bounds",
+        help=f"min:max:count on both momentum axes (default {roi['grid'][1]}; "
+        f"write --grid={roi['grid'][1]} for negative bounds)",
     )
-    p_kernel.add_argument("--tol", type=float, default=1e-12)
+    p_kernel.add_argument(
+        "--tol", type=float, help=f"largest |amp - 1| that passes (default {roi['tol'][1]})"
+    )
     p_kernel.add_argument("--format", choices=FORMATS, default="text")
     p_kernel.add_argument("--out", default=None)
     p_kernel.add_argument("--timings", action="store_true")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
@@ -26,6 +27,9 @@ CSV_HEADER = (
     "verdict",
     "summary",
 )
+
+#: a point's values in the order of its CSV columns, p1 to abs_error
+_POINT_COLUMNS = operator.itemgetter(*CSV_HEADER[2:-2])
 
 
 @dataclass
@@ -91,23 +95,7 @@ def emit_report(report: Report, fmt: str = "json", include_timings: bool = False
         for idx, t in enumerate(report.tasks):
             if t.points:
                 for pt in t.points:
-                    writer.writerow(
-                        [
-                            idx,
-                            t.kind,
-                            pt.get("p1", ""),
-                            pt.get("p2", ""),
-                            pt.get("pp1", ""),
-                            pt.get("pp2", ""),
-                            pt.get("amp_re", ""),
-                            pt.get("amp_im", ""),
-                            pt.get("ref_re", ""),
-                            pt.get("ref_im", ""),
-                            pt.get("abs_error", ""),
-                            t.verdict,
-                            "",
-                        ]
-                    )
+                    writer.writerow([idx, t.kind, *_POINT_COLUMNS(pt), t.verdict, ""])
             else:
                 writer.writerow(
                     [idx, t.kind, "", "", "", "", "", "", "", "", t.max_error if t.max_error is not None else "", t.verdict, t.summary]

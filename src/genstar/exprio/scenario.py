@@ -9,9 +9,11 @@ Format, line by line (# starts a comment):
     task position-roi grid=-2:2:20 tol=1e-12
     task eval expr="x1 ** x2"
 
-Every task's inputs are validated against its kind before any task runs;
-an exception while running aborts the remaining tasks and marks the
-report failed, keeping completed results.
+``TASKS`` is the one place that defines a task kind: its options, each
+with its converter and default, and its runner.  Every task's inputs are
+validated against it before any task runs; an exception while running
+aborts the remaining tasks and marks the report failed, keeping completed
+results.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import shlex
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,21 +41,12 @@ from ..wavestar import (
 )
 from .evaluate import _star, evaluate_expression, value_kind
 from .format import format_value
-from .parser import Expression, parse_expression
+from .parser import parse_expression
 from .report import Report, TaskResult
 
-TASK_KINDS = (
-    "eval",
-    "commutator",
-    "tmap",
-    "equivalence",
-    "position-roi",
-    "coherent-roi",
-    "fock-check",
-    "verify-all",
-)
+_PHI_KEYS = ("phi11", "phi12", "phi22")
 
-_PARAM_KEYS = ("theta", "phi11", "phi12", "phi22", "preset", "seed", "trials")
+_PARAM_KEYS = ("theta", *_PHI_KEYS, "preset", "seed", "trials")
 
 #: header keys holding plain numbers, with the type each converts to
 _NUMBER_KEYS = {"theta": float, "seed": int, "trials": int}
@@ -93,14 +86,23 @@ def parse_complex_literal(text: str) -> complex:
     return value
 
 
-def _number(convert, key: str, text: str, line: int):
-    """convert(text) for a numeric scenario value (convert is int or float)."""
+def _convert(convert, key: str, text: str, where: str):
+    """convert(text) for a scenario value; a failure names `where`, the line
+    and, for a task option, the task and the option."""
     try:
         return convert(text)
-    except ValueError as exc:
-        raise ScenarioError(
-            f"line {line}: {key} = {text!r} is not a valid {convert.__name__}"
-        ) from exc
+    except ValueError as exc:  # int() or float() on text that is no number
+        raise ScenarioError(f"{where}: {key} = {text!r} is not a valid {convert.__name__}") from exc
+    except EngineError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def build_params(theta, preset: str | None, phis: dict) -> DeformationParams:
+    """(theta, Phi) from a preset name, or else from the complex literals
+    phis["phi11"], phis["phi12"] and phis["phi22"], each "0" when absent."""
+    if preset is not None:
+        return preset_params(preset, theta)
+    return make_params(theta, **{k: parse_complex_literal(phis.get(k, "0")) for k in _PHI_KEYS})
 
 
 def parse_grid(text: str) -> tuple[float, float, int]:
@@ -116,60 +118,32 @@ def parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _parse_expr_option(task_kind: str, key: str, text: str, line: int) -> Expression:
-    try:
-        return parse_expression(text)
-    except EngineError as exc:
-        raise ScenarioError(f"line {line}: task {task_kind} option {key}: {exc}") from exc
+def _suite_names(text: str) -> tuple[str, ...]:
+    names = tuple(s for s in text.split(",") if s)
+    for s in names:
+        if s not in SUITE_NAMES:
+            raise ScenarioError(f"unknown suite {s!r}; expected from {SUITE_NAMES}")
+    return names
 
 
 def prepare_task(kind: str, options: dict[str, str], line: int) -> Task:
-    known = {
-        "eval": {"expr"},
-        "commutator": {"f", "g"},
-        "tmap": {"expr"},
-        "equivalence": {"f", "g", "tol"},
-        "position-roi": {"grid", "tol"},
-        "coherent-roi": {"grid", "tol"},
-        "fock-check": {"n", "z", "p", "tol"},
-        "verify-all": {"suites"},
-    }
-    if kind not in known:
-        raise ScenarioError(f"line {line}: unknown task kind {kind!r}; expected one of {TASK_KINDS}")
-    extra = set(options) - known[kind]
+    """Check a task's options against its kind in TASKS and convert each,
+    defaults included."""
+    if kind not in TASKS:
+        raise ScenarioError(f"line {line}: unknown task kind {kind!r}; expected one of {tuple(TASKS)}")
+    spec = TASKS[kind][0]
+    extra = options.keys() - spec.keys()
     if extra:
         raise ScenarioError(f"line {line}: task {kind} got unknown options {sorted(extra)}")
     prepared: dict = {}
-    if kind in ("eval", "tmap"):
-        if "expr" not in options:
-            raise ScenarioError(f"line {line}: task {kind} needs expr=...")
-        prepared["expr"] = _parse_expr_option(kind, "expr", options["expr"], line)
-    elif kind in ("commutator", "equivalence"):
-        for key in ("f", "g"):
-            if key not in options:
-                raise ScenarioError(f"line {line}: task {kind} needs {key}=...")
-            prepared[key] = _parse_expr_option(kind, key, options[key], line)
-        if kind == "equivalence":
-            tol = options.get("tol")
-            prepared["tol"] = None if tol is None else _number(float, "tol", tol, line)
-    elif kind in ("position-roi", "coherent-roi"):
-        prepared["grid"] = parse_grid(options.get("grid", "-2:2:20"))
-        prepared["tol"] = _number(float, "tol", options.get("tol", "1e-12"), line)
-    elif kind == "fock-check":
-        prepared["n"] = _number(int, "n", options.get("n", "64"), line)
-        prepared["z"] = parse_complex_literal(options.get("z", "0.3+0.2i"))
-        prepared["p"] = parse_complex_literal(options.get("p", "0.5-0.7i"))
-        prepared["tol"] = _number(float, "tol", options.get("tol", "1e-6"), line)
-        if prepared["n"] < 2:
-            raise ScenarioError(f"line {line}: fock-check needs n >= 2")
-    elif kind == "verify-all":
-        names = tuple(s for s in options.get("suites", ",".join(SUITE_NAMES)).split(",") if s)
-        for s in names:
-            if s not in SUITE_NAMES:
-                raise ScenarioError(
-                    f"line {line}: unknown suite {s!r}; expected from {SUITE_NAMES}"
-                )
-        prepared["suites"] = names
+    for key, (convert, default) in spec.items():
+        text = options.get(key, default)
+        if text is REQUIRED:
+            raise ScenarioError(f"line {line}: task {kind} needs {key}=...")
+        where = f"line {line}: task {kind} option {key}"
+        prepared[key] = None if text is None else _convert(convert, key, text, where)
+    if kind == "fock-check" and prepared["n"] < 2:
+        raise ScenarioError(f"line {line}: fock-check needs n >= 2")
     return Task(kind=kind, options=dict(options), prepared=prepared, line=line)
 
 
@@ -206,25 +180,16 @@ def parse_scenario(text: str, name: str = "<inline>") -> Scenario:
                 )
             value = value.strip()
             if key in _NUMBER_KEYS:
-                value = _number(_NUMBER_KEYS[key], key, value, lineno)
+                value = _convert(_NUMBER_KEYS[key], key, value, f"line {lineno}")
             raw_params[key] = value
         else:
             raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
 
     preset = raw_params.get("preset")
-    theta = raw_params.get("theta", 1.0)
-    phi_given = [k for k in ("phi11", "phi12", "phi22") if k in raw_params]
+    phi_given = [k for k in _PHI_KEYS if k in raw_params]
     if preset is not None and phi_given:
         raise ScenarioError(f"preset conflicts with explicit {phi_given}")
-    if preset is not None:
-        params = preset_params(preset, theta)
-    else:
-        params = make_params(
-            theta,
-            phi11=parse_complex_literal(raw_params.get("phi11", "0")),
-            phi12=parse_complex_literal(raw_params.get("phi12", "0")),
-            phi22=parse_complex_literal(raw_params.get("phi22", "0")),
-        )
+    params = build_params(raw_params.get("theta", 1.0), preset, raw_params)
     seed = raw_params.get("seed", 0)
     trials = raw_params.get("trials")
     return Scenario(
@@ -238,21 +203,22 @@ def load_scenario(path) -> Scenario:
 
 
 # -- task execution ---------------------------------------------------------
+#
+# A runner returns the TaskResult fields that vary by kind (outputs, verdict
+# and optionally max_error, points, summary); run_scenario adds the rest.
 
 
-def _run_eval(task: Task, scenario: Scenario) -> TaskResult:
+def _run_eval(task: Task, scenario: Scenario) -> dict:
     value = evaluate_expression(task.prepared["expr"], scenario.params)
     text = format_value(value)
-    return TaskResult(
-        kind=task.kind,
-        inputs=dict(task.options),
+    return dict(
         outputs={"result": text, "value_kind": value_kind(value)},
         verdict="pass",
         summary=f"{task.options['expr']} = {text}",
     )
 
 
-def _run_commutator(task: Task, scenario: Scenario) -> TaskResult:
+def _run_commutator(task: Task, scenario: Scenario) -> dict:
     f = evaluate_expression(task.prepared["f"], scenario.params)
     g = evaluate_expression(task.prepared["g"], scenario.params)
     if isinstance(f, Polynomial2) and isinstance(g, Polynomial2):
@@ -262,16 +228,14 @@ def _run_commutator(task: Task, scenario: Scenario) -> TaskResult:
     else:
         value = _star(f, g, scenario.params) - _star(g, f, scenario.params)
     text = format_value(value)
-    return TaskResult(
-        kind=task.kind,
-        inputs=dict(task.options),
+    return dict(
         outputs={"result": text},
         verdict="pass",
         summary=f"[{task.options['f']}, {task.options['g']}] = {text}",
     )
 
 
-def _run_tmap(task: Task, scenario: Scenario) -> TaskResult:
+def _run_tmap(task: Task, scenario: Scenario) -> dict:
     value = evaluate_expression(task.prepared["expr"], scenario.params)
     if isinstance(value, complex):
         out = value
@@ -280,16 +244,10 @@ def _run_tmap(task: Task, scenario: Scenario) -> TaskResult:
     else:
         out = tmap_wave(value, scenario.params)
     text = format_value(out)
-    return TaskResult(
-        kind=task.kind,
-        inputs=dict(task.options),
-        outputs={"result": text},
-        verdict="pass",
-        summary=f"T({task.options['expr']}) = {text}",
-    )
+    return dict(outputs={"result": text}, verdict="pass", summary=f"T({task.options['expr']}) = {text}")
 
 
-def _run_equivalence(task: Task, scenario: Scenario) -> TaskResult:
+def _run_equivalence(task: Task, scenario: Scenario) -> dict:
     f = evaluate_expression(task.prepared["f"], scenario.params)
     g = evaluate_expression(task.prepared["g"], scenario.params)
     tol = task.prepared["tol"]
@@ -302,9 +260,7 @@ def _run_equivalence(task: Task, scenario: Scenario) -> TaskResult:
     else:
         raise ScenarioError("equivalence needs two polynomials or two exponential sums")
     ok = residual <= tol
-    return TaskResult(
-        kind=task.kind,
-        inputs=dict(task.options),
+    return dict(
         outputs={"residual": residual, "tolerance": tol},
         verdict="pass" if ok else "fail",
         max_error=residual,
@@ -312,18 +268,10 @@ def _run_equivalence(task: Task, scenario: Scenario) -> TaskResult:
     )
 
 
-#: what differs between the RoI task kinds: the state family that
-#: roi_diagonal walks (also the noun in the summary) and the closed-form
-#: kernel.  The kernels are called by their module-global names, so a
-#: rebinding of those names (such as perfbench's tracer) reaches them.
-_ROI_TASKS = {
-    "position-roi": ("position", lambda params: position_roi_kernel(params)),
-    "coherent-roi": ("coherent", lambda params: coherent_roi_kernel(params)),
-}
-
-
-def _run_roi(task: Task, scenario: Scenario) -> TaskResult:
-    which, kernel = _ROI_TASKS[task.kind]
+def _run_roi(which: str, kernel, task: Task, scenario: Scenario) -> dict:
+    """The RoI task for one state family: `which` is the family that
+    roi_diagonal walks (also the noun in the summary), `kernel` its
+    closed-form kernel."""
     tol = task.prepared["tol"]
     values = [float(v) for v in np.linspace(*task.prepared["grid"])]
     points = []
@@ -345,9 +293,7 @@ def _run_roi(task: Task, scenario: Scenario) -> TaskResult:
             }
         )
     resolves = worst <= tol
-    return TaskResult(
-        kind=task.kind,
-        inputs=dict(task.options),
+    return dict(
         outputs={
             "resolves_identity": resolves,
             "max_deviation": worst,
@@ -366,7 +312,7 @@ def _run_roi(task: Task, scenario: Scenario) -> TaskResult:
     )
 
 
-def _run_fock_check(task: Task, scenario: Scenario) -> TaskResult:
+def _run_fock_check(task: Task, scenario: Scenario) -> dict:
     from ..fockspace import overlap_vs_closedform
 
     comp = overlap_vs_closedform(
@@ -374,9 +320,7 @@ def _run_fock_check(task: Task, scenario: Scenario) -> TaskResult:
     )
     tol = task.prepared["tol"]
     ok = comp.abs_error < tol
-    return TaskResult(
-        kind=task.kind,
-        inputs=dict(task.options),
+    return dict(
         outputs={
             "numeric": [comp.numeric.real, comp.numeric.imag],
             "closed_form": [comp.closed.real, comp.closed.imag],
@@ -389,50 +333,51 @@ def _run_fock_check(task: Task, scenario: Scenario) -> TaskResult:
     )
 
 
-def _run_verify_all(task: Task, scenario: Scenario) -> TaskResult:
+def _run_verify_all(task: Task, scenario: Scenario) -> dict:
     results = run_suites(task.prepared["suites"], seed=scenario.seed, trials=scenario.trials)
-    suites_out = []
-    worst = 0.0
-    ok = True
-    for suite in results:
-        worst = max(worst, suite.max_error)
-        ok = ok and suite.passed
-        suites_out.append(
-            {
-                "name": suite.name,
-                "passed": suite.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "max_error": c.max_error,
-                        "tolerance": c.tolerance,
-                        "passed": c.passed,
-                        "detail": c.detail,
-                    }
-                    for c in suite.checks
-                ],
-            }
-        )
-    return TaskResult(
-        kind=task.kind,
-        inputs=dict(task.options),
-        outputs={"suites": suites_out},
+    ok = all(suite.passed for suite in results)
+    return dict(
+        outputs={
+            "suites": [
+                {"name": s.name, "passed": s.passed, "checks": [asdict(c) for c in s.checks]}
+                for s in results
+            ]
+        },
         verdict="pass" if ok else "fail",
-        max_error=worst,
+        max_error=max([0.0] + [suite.max_error for suite in results]),
         summary=f"verification suites {','.join(task.prepared['suites'])}: "
         + ("all passed" if ok else "FAILURES"),
     )
 
 
-_RUNNERS = {
-    "eval": _run_eval,
-    "commutator": _run_commutator,
-    "tmap": _run_tmap,
-    "equivalence": _run_equivalence,
-    "position-roi": _run_roi,
-    "coherent-roi": _run_roi,
-    "fock-check": _run_fock_check,
-    "verify-all": _run_verify_all,
+#: the default of an option that a task must be given
+REQUIRED = object()
+
+_EXPR = (lambda text: parse_expression(text), REQUIRED)
+_ROI = {"grid": (parse_grid, "-2:2:20"), "tol": (float, "1e-12")}
+
+#: task kind -> ({option: (converter, default text, REQUIRED or None)}, runner).
+#: The one definition of every task kind, read by prepare_task, run_scenario
+#: and the CLI.  Engine functions are called by their module-global names at
+#: call time, so a rebinding of those names (such as perfbench's tracer)
+#: reaches them.
+TASKS = {
+    "eval": ({"expr": _EXPR}, _run_eval),
+    "commutator": ({"f": _EXPR, "g": _EXPR}, _run_commutator),
+    "tmap": ({"expr": _EXPR}, _run_tmap),
+    "equivalence": ({"f": _EXPR, "g": _EXPR, "tol": (float, None)}, _run_equivalence),
+    "position-roi": (_ROI, lambda task, s: _run_roi("position", position_roi_kernel, task, s)),
+    "coherent-roi": (_ROI, lambda task, s: _run_roi("coherent", coherent_roi_kernel, task, s)),
+    "fock-check": (
+        {
+            "n": (int, "64"),
+            "z": (parse_complex_literal, "0.3+0.2i"),
+            "p": (parse_complex_literal, "0.5-0.7i"),
+            "tol": (float, "1e-6"),
+        },
+        _run_fock_check,
+    ),
+    "verify-all": ({"suites": (_suite_names, ",".join(SUITE_NAMES))}, _run_verify_all),
 }
 
 
@@ -459,19 +404,14 @@ def run_scenario(scenario: Scenario) -> Report:
     for task in scenario.tasks:
         t0 = time.perf_counter()
         try:
-            result = _RUNNERS[task.kind](task, scenario)
+            fields = TASKS[task.kind][1](task, scenario)
         except EngineError as exc:
-            result = TaskResult(
-                kind=task.kind,
-                inputs=dict(task.options),
-                outputs={"error": str(exc)},
-                verdict="error",
-                summary=f"error: {exc}",
-            )
-            result.seconds = time.perf_counter() - t0
-            report.tasks.append(result)
+            fields = dict(outputs={"error": str(exc)}, verdict="error", summary=f"error: {exc}")
             report.failed = True
+        seconds = time.perf_counter() - t0
+        report.tasks.append(
+            TaskResult(kind=task.kind, inputs=dict(task.options), seconds=seconds, **fields)
+        )
+        if report.failed:
             break
-        result.seconds = time.perf_counter() - t0
-        report.tasks.append(result)
     return report

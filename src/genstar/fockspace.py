@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import DeformationParams, _finite_complex
-from .errors import DimensionMismatchError, SingularParameterError, ValidationError
+from .deformation import DeformationParams, _finite_complex, _positive_theta
+from .errors import DimensionMismatchError, ValidationError
 from .wavestar import coherent_momentum_overlap
 
 #: coherent-state truncation mass beyond the cutoff must stay below this
@@ -96,9 +96,13 @@ def coherent_vector(z, dim: int) -> np.ndarray:
     """
     if dim < 2:
         raise ValidationError(f"truncation dimension must be >= 2, got {dim}")
-    z = _finite_complex("z", z)  # a finite z keeps every component finite
-    if abs(z) > 0.0:
-        log_tail = -abs(z) ** 2 + 2 * dim * math.log(abs(z)) - math.lgamma(dim + 1)
+    z = _finite_complex("z", z)
+    try:
+        r2 = abs(z) ** 2  # below overflow, every component is finite
+    except OverflowError as exc:
+        raise ValidationError(f"coherent state |z|^2 overflows at |z| = {abs(z):.3g}") from exc
+    if r2 > 0.0:
+        log_tail = -r2 + 2 * dim * math.log(abs(z)) - math.lgamma(dim + 1)
         if log_tail > math.log(COHERENT_TAIL_TOL):
             warnings.warn(
                 f"coherent state |z|={abs(z):.3g} poorly truncated at dim={dim} "
@@ -107,7 +111,7 @@ def coherent_vector(z, dim: int) -> np.ndarray:
                 stacklevel=2,
             )
     v = np.zeros(dim, dtype=complex)
-    v[0] = math.exp(-abs(z) ** 2 / 2.0)
+    v[0] = math.exp(-r2 / 2.0)
     for n in range(1, dim):
         v[n] = v[n - 1] * z / math.sqrt(n)
     v.setflags(write=False)
@@ -167,13 +171,12 @@ class QuantumOps:
 
 def quantum_ops(params: DeformationParams, dim: int) -> QuantumOps:
     """Build the operator set at truncation dim; needs theta > 0."""
-    if params.theta <= 0.0:
-        raise SingularParameterError(f"quantum operators need theta > 0, got {params.theta!r}")
+    t = _positive_theta(params.theta, "quantum operators need")
     b, bdag = ladder_ops(dim)
-    s = math.sqrt(params.theta / 2.0)
+    s = math.sqrt(t / 2.0)
     x1 = FockOp(dim, s * (b.matrix + bdag.matrix))
     x2 = FockOp(dim, -1j * s * (b.matrix - bdag.matrix))
-    return QuantumOps(theta=params.theta, dim=dim, b=b, bdag=bdag, x1=x1, x2=x2)
+    return QuantumOps(theta=t, dim=dim, b=b, bdag=bdag, x1=x1, x2=x2)
 
 
 def momentum_state_op(p, theta, dim: int) -> FockOp:
@@ -184,13 +187,15 @@ def momentum_state_op(p, theta, dim: int) -> FockOp:
     the exponential is computed by eigendecomposition and is unitary up to
     the truncation edge.  Warns when theta |p|^2 > dim/4.
     """
-    t = float(theta)
-    if t <= 0.0:
-        raise SingularParameterError(f"momentum states need theta > 0, got {theta!r}")
-    p = complex(p)
-    if t * abs(p) ** 2 > dim / 4.0:
+    t = _positive_theta(theta, "momentum states need")
+    p = _finite_complex("p", p)
+    try:
+        spread = t * abs(p) ** 2
+    except OverflowError as exc:
+        raise ValidationError(f"momentum state theta|p|^2 overflows at |p| = {abs(p):.3g}") from exc
+    if spread > dim / 4.0:
         warnings.warn(
-            f"momentum state theta|p|^2 = {t * abs(p) ** 2:.3g} exceeds dim/4 = {dim / 4:.3g}; "
+            f"momentum state theta|p|^2 = {spread:.3g} exceeds dim/4 = {dim / 4:.3g}; "
             "truncation may be inaccurate",
             RuntimeWarning,
             stacklevel=2,

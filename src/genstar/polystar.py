@@ -15,8 +15,15 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .deformation import CARTESIAN, COMPLEX, FRAMES, DeformationParams, star_kernel
-from .errors import FrameMismatchError, SingularParameterError, ValidationError
+from .deformation import (
+    CARTESIAN,
+    COMPLEX,
+    FRAMES,
+    DeformationParams,
+    _positive_theta,
+    star_kernel,
+)
+from .errors import FrameMismatchError, ValidationError
 
 #: coefficients smaller than this in magnitude are dropped after every
 #: operation so that sparse maps stay canonical
@@ -335,9 +342,7 @@ def to_complex_frame(f: Polynomial2, theta) -> Polynomial2:
     x2 = -i sqrt(theta/2)(z - zbar); requires theta > 0."""
     if f.frame != CARTESIAN:
         raise FrameMismatchError("to_complex_frame expects a cartesian polynomial")
-    t = float(theta)
-    if t <= 0.0:
-        raise SingularParameterError(f"frame conversion needs theta > 0, got {theta!r}")
+    t = _positive_theta(theta, "frame conversion needs")
     s = math.sqrt(t / 2.0)
     z = Polynomial2.variable("z")
     zbar = Polynomial2.variable("zbar")
@@ -349,9 +354,7 @@ def to_cartesian_frame(f: Polynomial2, theta) -> Polynomial2:
     zbar = (x1 - i x2)/sqrt(2 theta); requires theta > 0."""
     if f.frame != COMPLEX:
         raise FrameMismatchError("to_cartesian_frame expects a complex-frame polynomial")
-    t = float(theta)
-    if t <= 0.0:
-        raise SingularParameterError(f"frame conversion needs theta > 0, got {theta!r}")
+    t = _positive_theta(theta, "frame conversion needs")
     s = 1.0 / math.sqrt(2.0 * t)
     x1 = Polynomial2.variable("x1")
     x2 = Polynomial2.variable("x2")

@@ -29,13 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import CARTESIAN, COMPLEX, FRAMES, DeformationParams, star_kernel
-from .errors import (
-    DivergentIntegralError,
-    FrameMismatchError,
-    SingularParameterError,
-    ValidationError,
+from .deformation import (
+    CARTESIAN,
+    COMPLEX,
+    FRAMES,
+    DeformationParams,
+    _positive_theta,
+    star_kernel,
 )
+from .errors import DivergentIntegralError, FrameMismatchError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -371,11 +373,14 @@ def _coherent_state(theta, *momenta) -> tuple[float, float, list[complex]]:
     sqrt(theta/2 pi) exp(-theta |p|^2 / 4) of the coherent/momentum overlap
     (z,zbar|p) = weight * exp(i s (p zbar + pbar z)); coherent states need
     theta > 0."""
-    t = float(theta)
-    if t <= 0.0:
-        raise SingularParameterError(f"coherent states need theta > 0, got {theta!r}")
+    t = _positive_theta(theta, "coherent states need")
     pref = math.sqrt(t / TWO_PI)
-    return t, math.sqrt(t / 2.0), [pref * cmath.exp(-t * abs(p) ** 2 / 4.0) for p in momenta]
+    try:
+        weights = [pref * cmath.exp(-t * abs(p) ** 2 / 4.0) for p in momenta]
+    except OverflowError as exc:
+        big = max(abs(p) for p in momenta)
+        raise ValidationError(f"coherent states: theta |p|^2 overflows at |p| = {big:.3g}") from exc
+    return t, math.sqrt(t / 2.0), weights
 
 
 def coherent_momentum_overlap(z, p, theta) -> complex:

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 from genstar import (
     CARTESIAN,
     COMPLEX,
+    DeformationParams,
+    Polynomial2,
     SingularParameterError,
     ValidationError,
     WaveSum,
+    coherent_momentum_overlap,
     make_params,
+    momentum_state_op,
     preset_params,
+    quantum_ops,
     star_kernel,
     star_wave,
+    to_cartesian_frame,
+    to_complex_frame,
 )
 
 small_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -212,3 +219,28 @@ def test_moyal_twin():
     params = make_params(1.5, 1j, 2, 3)
     twin = params.moyal()
     assert twin.theta == 1.5 and twin.is_moyal()
+
+
+#: every entry point that needs theta > 0, as a function of theta
+THETA_GATED = {
+    "coherent_momentum_overlap": lambda t: coherent_momentum_overlap(0.1, 0.2, t),
+    "quantum_ops": lambda t: quantum_ops(DeformationParams(t, 0j, 0j, 0j), 4),
+    "momentum_state_op": lambda t: momentum_state_op(0.2, t, 4),
+    "to_complex_frame": lambda t: to_complex_frame(Polynomial2.variable("x1"), t),
+    "to_cartesian_frame": lambda t: to_cartesian_frame(Polynomial2.variable("z"), t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_GATED))
+@pytest.mark.parametrize(
+    "theta, error",
+    [
+        (0, SingularParameterError),
+        (-1, SingularParameterError),
+        (float("nan"), ValidationError),
+        ("abc", ValidationError),
+    ],
+)
+def test_theta_gate_rejects_nonpositive_and_non_numbers(name, theta, error):
+    with pytest.raises(error, match="theta"):
+        THETA_GATED[name](theta)

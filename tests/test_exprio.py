@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,8 @@ from genstar.exprio import (
     run_scenario,
 )
 from genstar.exprio.cli import main
+from genstar.exprio.scenario import prepare_task
+from genstar.suites import SUITE_NAMES
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -250,6 +253,43 @@ def test_scenario_validates_expressions_before_running():
 def test_scenario_unknown_task_option():
     with pytest.raises(ScenarioError, match="unknown options"):
         parse_scenario("task eval expr=x1 bogus=3")
+
+
+#: what prepare_task makes of each task kind given its required options only:
+#: the defaults that README "Scenario files" lists
+_X1, _X2 = parse_expression("x1"), parse_expression("x2")
+TASK_DEFAULTS = [
+    ("eval", {"expr": "x1"}, {"expr": _X1}),
+    ("commutator", {"f": "x1", "g": "x2"}, {"f": _X1, "g": _X2}),
+    ("tmap", {"expr": "x1"}, {"expr": _X1}),
+    ("equivalence", {"f": "x1", "g": "x2"}, {"f": _X1, "g": _X2, "tol": None}),
+    ("position-roi", {}, {"grid": (-2.0, 2.0, 20), "tol": 1e-12}),
+    ("coherent-roi", {}, {"grid": (-2.0, 2.0, 20), "tol": 1e-12}),
+    ("fock-check", {}, {"n": 64, "z": 0.3 + 0.2j, "p": 0.5 - 0.7j, "tol": 1e-6}),
+    ("verify-all", {}, {"suites": SUITE_NAMES}),
+]
+
+
+@pytest.mark.parametrize("kind, options, prepared", TASK_DEFAULTS)
+def test_task_kind_defaults_are_pinned(kind, options, prepared):
+    assert prepare_task(kind, options, line=1).prepared == prepared
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("task eval", "line 1: task eval needs expr=..."),
+        ("task equivalence f=x1", "line 1: task equivalence needs g=..."),
+        ("task fock-check n=1", "line 1: fock-check needs n >= 2"),
+        ("task verify-all suites=roi,bogus", "line 1: task verify-all option suites: unknown suite 'bogus'"),
+        ("task coherent-roi grid=1:2", "line 1: task coherent-roi option grid: bad grid '1:2'"),
+        ("task fock-check z=x1", "line 1: task fock-check option z: bad complex literal 'x1'"),
+        ("task position-roi tol=abc", "line 1: task position-roi option tol: tol = 'abc' is not a valid float"),
+    ],
+)
+def test_task_option_errors_name_line_task_and_option(text, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(text)
 
 
 def test_run_scenario_task_error_aborts_and_preserves():
@@ -486,6 +526,35 @@ def test_cli_kernel_amplitude_underflow_is_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "exactly 0" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("which, preset", [("position", "moyal"), ("coherent", "voros")])
+def test_cli_kernel_defaults_match_a_bare_scenario_task(capsys, which, preset):
+    code = main(["kernel", which, "--preset", preset, "--format", "json"])
+    out = capsys.readouterr().out.encode()
+    scenario = parse_scenario(f"preset = {preset}\ntask {which}-roi\n", name=f"<kernel {which}>")
+    report = run_scenario(scenario)
+    assert out == emit_report(report, "json")
+    assert code == exit_code(report) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, scenario",
+    [
+        (["kernel", "coherent", "--preset", "voros", "--grid=-1e200:1e200:3"], None),
+        (["run"], "task fock-check n=16 z=1e200"),
+        (["run"], "task fock-check n=16 p=1e200"),
+    ],
+)
+def test_huge_momenta_and_z_are_error_reports(tmp_path, capsys, argv, scenario):
+    if scenario is not None:
+        path = tmp_path / "huge.scn"
+        path.write_text(scenario + "\n", encoding="utf-8")
+        argv = [*argv, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "overflows" in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 
