@@ -244,7 +244,7 @@ class _Parser:
             return base
         op = self.advance()
         tok = self.cur
-        if tok.kind != "number" or tok.value.imag != 0.0 or tok.value.real != int(tok.value.real):
+        if tok.kind != "number" or tok.value.imag != 0.0 or not tok.value.real.is_integer():
             self.fail(
                 "exponent must be a non-negative integer literal",
                 ("non-negative integer",),

@@ -1,11 +1,18 @@
-"""Report containers and byte-stable emission in json/csv/text."""
+"""Report containers and byte-stable emission in json/csv/text.
+
+A task's grid points are a column table: TaskResult.points maps each point
+column (p1 to abs_error, in CSV order) to an array over the grid, or to one
+value that every point shares; p1 is always an array.  The emitter writes the JSON points block and
+the CSV point rows straight from the columns, one row template each, with
+the bytes that json.dumps(sort_keys=True, indent=2) and csv.writer give for
+the same points as a list of dicts.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-import operator
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
@@ -28,8 +35,18 @@ CSV_HEADER = (
     "summary",
 )
 
-#: a point's values in the order of its CSV columns, p1 to abs_error
-_POINT_COLUMNS = operator.itemgetter(*CSV_HEADER[2:-2])
+#: the point columns, in CSV order
+_POINT_COLUMNS = CSV_HEADER[2:-2]
+
+#: a JSON point, its keys sorted and indented as json.dumps(indent=2) puts
+#: them at the depth of tasks[i].outputs.points
+_JSON_POINT = (" " * 10 + "{\n"
+               + ",\n".join(" " * 12 + f'"{k}": %s' for k in sorted(_POINT_COLUMNS))
+               + "\n" + " " * 10 + "}")
+_JSON_ORDER = [_POINT_COLUMNS.index(k) for k in sorted(_POINT_COLUMNS)]
+
+#: json.dumps's spelling of the floats whose repr is no JSON number
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass
@@ -40,7 +57,7 @@ class TaskResult:
     verdict: str  # pass | finding | fail | error
     max_error: float | None = None
     seconds: float | None = None
-    points: list[dict] = field(default_factory=list)
+    points: dict = field(default_factory=dict)  # column table, see the module docstring
     summary: str = ""
 
 
@@ -62,10 +79,10 @@ def exit_code(report: Report) -> int:
     return 0
 
 
-def _task_dict(t: TaskResult, include_timings: bool) -> dict:
+def _task_dict(t: TaskResult, include_timings: bool, points) -> dict:
     outputs = dict(t.outputs)
     if t.points:
-        outputs["points"] = t.points
+        outputs["points"] = points
     return {
         "kind": t.kind,
         "inputs": t.inputs,
@@ -76,26 +93,82 @@ def _task_dict(t: TaskResult, include_timings: bool) -> dict:
     }
 
 
+def _reprs(col, rows: int) -> list[str]:
+    """repr of a point column's value at every point.  A value that repeats,
+    as a grid value does along p1 or p2, is rendered once; 0.0 and -0.0 are
+    one key, so zeros are rendered one by one."""
+    if not hasattr(col, "tolist"):
+        return [repr(col)] * rows
+    values = col.tolist()
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):
+        return list(map(repr, values))
+    memo = {x: repr(x) for x in distinct if x}
+    return [memo[x] if x else repr(x) for x in values]
+
+
+def _rendered(points: dict, spell: dict | None = None) -> list[list[str]]:
+    """Per point column in CSV order, its value at every point as repr
+    gives it, respelled by `spell`.  A column that several names share (pp1
+    is p1) is rendered once."""
+    rows = len(points["p1"])
+    done: dict[int, list[str]] = {}
+    for col in (points[name] for name in _POINT_COLUMNS):
+        if id(col) not in done:
+            strs = _reprs(col, rows)
+            if spell and not spell.keys().isdisjoint(strs):
+                strs = [spell.get(s, s) for s in strs]
+            done[id(col)] = strs
+    return [done[id(points[name])] for name in _POINT_COLUMNS]
+
+
+def _json_points(points: dict) -> str:
+    cols = _rendered(points, _JSON_NONFINITE)
+    rows = zip(*(cols[i] for i in _JSON_ORDER))
+    return "[\n" + ",\n".join(_JSON_POINT % row for row in rows) + "\n" + " " * 8 + "]"
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _csv_points(idx: int, t: TaskResult) -> str:
+    head = _csv_line([idx, t.kind, ""])[:-1]
+    tail = _csv_line(["", t.verdict, ""])
+    return "".join(head + ",".join(row) + tail for row in zip(*_rendered(t.points)))
+
+
 def emit_report(report: Report, fmt: str = "json", include_timings: bool = False) -> bytes:
     """Serialize a report.  Output is byte-stable for identical scenario
     inputs and seed; wall-clock timings are emitted as null unless
     include_timings is set (which breaks byte stability by design)."""
     if fmt == "json":
-        doc = {
-            "scenario": report.scenario,
-            "engine_version": report.engine_version,
-            "failed": report.failed,
-            "tasks": [_task_dict(t, include_timings) for t in report.tasks],
-        }
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        blocks = [_json_points(t.points) for t in report.tasks if t.points]
+        marker = "@points"
+        while True:  # the points blocks go where their marker strings land
+            doc = {
+                "scenario": report.scenario,
+                "engine_version": report.engine_version,
+                "failed": report.failed,
+                "tasks": [_task_dict(t, include_timings, marker) for t in report.tasks],
+            }
+            parts = json.dumps(doc, sort_keys=True, indent=2).split(json.dumps(marker))
+            if len(parts) == len(blocks) + 1:
+                break
+            marker += "@"  # some input holds the marker: try a longer one
+        out = [parts[0]]
+        for block, part in zip(blocks, parts[1:]):
+            out += [block, part]
+        return ("".join(out) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for idx, t in enumerate(report.tasks):
             if t.points:
-                for pt in t.points:
-                    writer.writerow([idx, t.kind, *_POINT_COLUMNS(pt), t.verdict, ""])
+                buf.write(_csv_points(idx, t))
             else:
                 writer.writerow(
                     [idx, t.kind, "", "", "", "", "", "", "", "", t.max_error if t.max_error is not None else "", t.verdict, t.summary]

@@ -226,7 +226,7 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
 
     moyal = preset_params("moyal", 1.0)
     worst_pos_moyal = 0.0
-    for _, _, amp in roi_diagonal("position", moyal, grid):
+    for amp in roi_diagonal("position", moyal, grid)[2].tolist():
         worst_pos_moyal = max(worst_pos_moyal, abs(amp - 1.0))
 
     non_moyal = (
@@ -238,7 +238,8 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
     least_deviation = math.inf
     for params in non_moyal:
         dev = 0.0
-        for p1, p2, amp in roi_diagonal("position", params, grid):
+        p1s, p2s, amps = roi_diagonal("position", params, grid)
+        for p1, p2, amp in zip(p1s.tolist(), p2s.tolist(), amps.tolist()):
             predicted = cmath.exp(0.5j * params.phi_quadratic(p1, p2))
             worst_pos_generic = max(worst_pos_generic, abs(amp - predicted))
             dev = max(dev, abs(amp - 1.0))
@@ -246,11 +247,12 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
 
     voros = preset_params("voros", 1.0)
     worst_coh_voros = 0.0
-    for _, _, amp in roi_diagonal("coherent", voros, grid):
+    for amp in roi_diagonal("coherent", voros, grid)[2].tolist():
         worst_coh_voros = max(worst_coh_voros, abs(amp - 1.0))
 
     worst_coh_moyal = 0.0
-    for p1, p2, amp in roi_diagonal("coherent", moyal, grid):
+    p1s, p2s, amps = roi_diagonal("coherent", moyal, grid)
+    for p1, p2, amp in zip(p1s.tolist(), p2s.tolist(), amps.tolist()):
         p = complex(p1, p2)
         worst_coh_moyal = max(
             worst_coh_moyal, abs(amp - math.exp(-moyal.theta * abs(p) ** 2 / 2.0))

@@ -14,6 +14,14 @@ T_Phi-images of position states resolve the identity under *_Phi for
 every Phi.  At Voros T is the coherent Gaussian exp(-theta |p|^2 / 4);
 coherent_roi_kernel is the position kernel transported that way.
 
+roi_diagonal evaluates a whole grid of diagonal RoI amplitudes as arrays.
+Its private pair-array type replays CPython's complex arithmetic step by
+step on float64 real and imaginary arrays (products as real pairs, a float
+widened to (x, 0.0), division as _Py_c_quot, np.exp for cmath.exp), and it
+takes K from star_kernel and the state weights from _coherent_state, so
+every amplitude has the bits of the scalar *_roi_amplitude functions, which
+stay the reference and handle the points at the edge of the float range.
+
 Every WaveSum is canonical, by one rule (``_merge``): terms whose
 wavevector components fall in the same WVEC_TOL cells merge, each group's
 amplitude is the exactly rounded sum of its parts, a group is dropped only
@@ -37,7 +45,7 @@ from .deformation import (
     _positive_theta,
     star_kernel,
 )
-from .errors import DivergentIntegralError, FrameMismatchError, ValidationError
+from .errors import DivergentIntegralError, EngineError, FrameMismatchError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -411,20 +419,124 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     return delta.amplitude / (2.0 * t)
 
 
-def roi_diagonal(which: str, params: DeformationParams, values) -> list[tuple]:
-    """(p1, p2, amp) over the grid values x values, p1 outermost: amp is the
-    diagonal (p = p') RoI amplitude of the states that which names, position
-    or coherent; the identity is resolved where amp = 1."""
+class _Pairs:
+    """Complex values as float64 real and imaginary arrays whose arithmetic
+    is CPython's complex arithmetic (up to 3.13) step by step, so each
+    element has the bits that the same expression on Python complex numbers
+    gives: products are taken as real pairs, a float or complex operand is
+    widened to (re, im) first (a float to (x, 0.0)), and division by a float
+    is _Py_c_quot's divide-by-b.real branch.  numpy's own complex product
+    and abs round differently on a share of inputs."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _of(x) -> "_Pairs":
+        if isinstance(x, _Pairs):
+            return x
+        x = complex(x)
+        return _Pairs(x.real, x.imag)
+
+    def __add__(self, other) -> "_Pairs":
+        o = _Pairs._of(other)
+        return _Pairs(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, other) -> "_Pairs":
+        o = _Pairs._of(other)
+        return _Pairs(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    # IEEE * and + commute, so a scalar on the left gives the same bits
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "_Pairs":
+        return _Pairs(self.re, -self.im)
+
+    def __truediv__(self, x: float) -> "_Pairs":
+        ratio = 0.0 / x
+        denom = x + 0.0 * ratio
+        return _Pairs((self.re + self.im * ratio) / denom, (self.im - self.re * ratio) / denom)
+
+    def exp(self) -> "_Pairs":
+        """np.exp, which gives cmath.exp's bits wherever cmath.exp takes its
+        unscaled branch (real part up to about 708.4)."""
+        z = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
+        z.real, z.imag = self.re, self.im
+        z = np.exp(z)
+        return _Pairs(z.real, z.imag)
+
+
+def _pair_exponent(k, d, e):
+    """star_wave's pair exponent K_ab d_a e_b, in star_wave's operation order."""
+    k11, k12, k21, k22 = k
+    return k11 * d[0] * e[0] + k12 * d[0] * e[1] + k21 * d[1] * e[0] + k22 * d[1] * e[1]
+
+
+def _position_grid(params: DeformationParams, p1, p2) -> tuple[_Pairs, _Pairs]:
+    """position_roi_amplitude at every (p1, p2), step by step: the amplitude
+    and the star pair exponent."""
+    amplitude = complex(1.0 / TWO_PI)  # each state's amplitude, as WaveSum stores it
+    bra, ket = (_Pairs(-p1, 0.0), _Pairs(-p2, 0.0)), (_Pairs(p1, 0.0), _Pairs(p2, 0.0))
+    exponent = _pair_exponent(star_kernel(CARTESIAN, params),
+                              [1j * k for k in bra], [1j * k for k in ket])
+    return amplitude * amplitude * exponent.exp() * TWO_PI**2, exponent
+
+
+def _coherent_grid(params: DeformationParams, p1, p2) -> tuple[_Pairs, _Pairs]:
+    """coherent_roi_amplitude at every p = p1 + i p2, step by step: the
+    amplitude and the star pair exponent."""
+    t, s, weights = _coherent_state(params.theta, *map(complex, p1.tolist(), p2.tolist()))
+    weights = np.array(weights, dtype=complex)
+    weight = _Pairs(weights.real, weights.imag)
+    p = _Pairs(p1, p2)
+    bra = (-1j * s * p.conjugate(), -1j * s * p)
+    ket = (1j * s * p.conjugate(), 1j * s * p)
+    exponent = _pair_exponent(star_kernel(COMPLEX, params), bra, ket)
+    return weight * weight * exponent.exp() * 4.0 * math.pi / (2.0 * t), exponent
+
+
+def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndarray, ...]:
+    """Columns (p1, p2, amp) over the grid values x values, p1 outermost: amp
+    is the diagonal (p = p') RoI amplitude of the states that which names,
+    position or coherent; the identity is resolved where amp = 1.
+
+    The grid is evaluated at once, as arrays, with the bits that
+    position_roi_amplitude or coherent_roi_amplitude gives point by point.
+    Where the scalar function may raise or take another branch (amp not
+    finite or exactly 0, a pair exponent whose real part passes 708), it is
+    called itself, in grid order, so the first point that fails raises the
+    scalar error.  The first point is always checked against it.
+    """
     if which == "position":
-        def amplitude(p1, p2):
-            return position_roi_amplitude(params, (p1, p2), (p1, p2))
+        grid, scalar = _position_grid, lambda x, y: position_roi_amplitude(params, (x, y), (x, y))
     elif which == "coherent":
-        def amplitude(p1, p2):
-            p = complex(p1, p2)
-            return coherent_roi_amplitude(params, p, p)
+        grid, scalar = _coherent_grid, lambda x, y: coherent_roi_amplitude(params, complex(x, y),
+                                                                            complex(x, y))
     else:
         raise ValidationError(f"unknown state family {which!r}; expected position or coherent")
-    return [(p1, p2, amplitude(p1, p2)) for p1 in values for p2 in values]
+    axis = np.asarray(values, dtype=float)
+    p1, p2 = np.repeat(axis, axis.size), np.tile(axis, axis.size)
+    amp = np.empty(p1.size, dtype=complex)
+    if not amp.size:
+        return p1, p2, amp
+    with np.errstate(all="ignore"):
+        try:
+            value, exponent = grid(params, p1, p2)
+            amp.real, amp.imag = value.re, value.im
+            rerun = ~np.isfinite(amp) | (amp == 0) | (exponent.re > 708.0)
+        except ValidationError:  # an input overflows: the scalar walk says where
+            rerun = np.ones(amp.size, dtype=bool)
+    for i in np.flatnonzero(rerun).tolist():
+        amp[i] = scalar(p1[i], p2[i])
+    first = scalar(p1[0], p2[0])
+    if repr(first) != repr(complex(amp[0])):
+        raise EngineError(
+            f"roi_diagonal: the batched {which} amplitude {complex(amp[0])!r} at "
+            f"({float(p1[0])!r}, {float(p2[0])!r}) differs from the scalar {first!r}"
+        )
+    return p1, p2, amp
 
 
 # -- quadratic-form kernel amplitudes ------------------------------------

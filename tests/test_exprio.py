@@ -1,7 +1,9 @@
 """Expression front end, scenario runner, report emitter, CLI."""
 
 import cmath
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -9,13 +11,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genstar import Polynomial2, WaveSum, make_params, preset_params
 from genstar.exprio import (
     ParseError,
     Report,
     ScenarioError,
+    TaskResult,
     emit_report,
     evaluate_expression,
     exit_code,
@@ -28,6 +34,7 @@ from genstar.exprio import (
     run_scenario,
 )
 from genstar.exprio.cli import main
+from genstar.exprio.report import CSV_HEADER
 from genstar.exprio.scenario import prepare_task
 from genstar.suites import SUITE_NAMES
 
@@ -285,6 +292,10 @@ def test_task_kind_defaults_are_pinned(kind, options, prepared):
         ("task coherent-roi grid=1:2", "line 1: task coherent-roi option grid: bad grid '1:2'"),
         ("task fock-check z=x1", "line 1: task fock-check option z: bad complex literal 'x1'"),
         ("task position-roi tol=abc", "line 1: task position-roi option tol: tol = 'abc' is not a valid float"),
+        ('task eval expr="x1^1e400"', "line 1: task eval option expr: exponent must be a non-negative integer"),
+        ("task fock-check tol=nan", "line 1: task fock-check option tol: tol = 'nan' is not a valid float"),
+        ("task coherent-roi tol=-1", "line 1: task coherent-roi option tol: tol = '-1' is not a valid float"),
+        ("task equivalence f=x1 g=x2 tol=inf", "line 1: task equivalence option tol: tol = 'inf'"),
     ],
 )
 def test_task_option_errors_name_line_task_and_option(text, message):
@@ -423,6 +434,96 @@ def test_unknown_format_raises():
         emit_report(report, "yaml")
 
 
+def _oracle_report_bytes(report: Report, fmt: str) -> bytes:
+    """The emitter that the column writer replaced, kept as its oracle: the
+    points as a list of dicts through json.dumps(sort_keys=True, indent=2),
+    and one csv.writer row per point."""
+
+    def point_dicts(points):
+        rows = len(points["p1"])
+        cols = {k: v.tolist() if hasattr(v, "tolist") else [v] * rows for k, v in points.items()}
+        return [{k: col[i] for k, col in cols.items()} for i in range(rows)]
+
+    if fmt == "json":
+        tasks = []
+        for t in report.tasks:
+            outputs = dict(t.outputs)
+            if t.points:
+                outputs["points"] = point_dicts(t.points)
+            tasks.append({"kind": t.kind, "inputs": t.inputs, "outputs": outputs,
+                          "verdict": t.verdict, "max_error": t.max_error, "seconds": None})
+        doc = {"scenario": report.scenario, "engine_version": report.engine_version,
+               "failed": report.failed, "tasks": tasks}
+        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for idx, t in enumerate(report.tasks):
+        if t.points:
+            for pt in point_dicts(t.points):
+                writer.writerow([idx, t.kind, *(pt[k] for k in CSV_HEADER[2:-2]), t.verdict, ""])
+        else:
+            error = t.max_error if t.max_error is not None else ""
+            writer.writerow([idx, t.kind, "", "", "", "", "", "", "", "", error, t.verdict, t.summary])
+    return buf.getvalue().encode()
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+#: user text, often holding the "@points..." strings at which the JSON
+#: emitter splices in the points blocks
+_USER_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.builds(lambda pre, tail, post: pre + "@points" + "@" * tail + post,
+              st.sampled_from(["", '"', "\\", "x"]), st.integers(0, 3), st.sampled_from(["", '"', "x"])),
+)
+
+
+@st.composite
+def _point_columns(draw):
+    n = draw(st.integers(1, 8))
+    column = st.lists(_FLOATS, min_size=n, max_size=n).map(np.array)
+    # values that repeat, as a grid value does along p1, are rendered once
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=3))
+    p1 = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    p2 = draw(column)
+    return {"p1": p1, "p2": p2, "pp1": p1, "pp2": p2 if draw(st.booleans()) else p2.copy(),
+            "amp_re": draw(column), "amp_im": draw(column), "ref_re": draw(_FLOATS),
+            "ref_im": draw(st.one_of(_FLOATS, column)), "abs_error": draw(column)}
+
+
+@st.composite
+def _task_results(draw):
+    if draw(st.booleans()):  # an RoI task: its points are columns
+        verdict = draw(st.sampled_from(["pass", "finding"]))
+        worst = draw(_FLOATS)
+        return TaskResult(
+            kind=draw(st.sampled_from(["position-roi", "coherent-roi"])),
+            inputs={"grid": draw(_USER_TEXT)},
+            outputs={"resolves_identity": verdict == "pass", "max_deviation": worst,
+                     "finding": None if verdict == "pass" else "fail-to-resolve"},
+            verdict=verdict, max_error=worst, points=draw(_point_columns()),
+            summary=draw(_USER_TEXT),
+        )
+    return TaskResult(
+        kind=draw(st.sampled_from(["eval", "equivalence", "fock-check"])),
+        inputs={"expr": draw(_USER_TEXT)},
+        outputs={"result": draw(_USER_TEXT)},
+        verdict=draw(st.sampled_from(["pass", "fail", "error", "finding"])),
+        max_error=draw(st.one_of(st.none(), _FLOATS)),
+        summary=draw(_USER_TEXT),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=_USER_TEXT, tasks=st.lists(_task_results(), max_size=4), failed=st.booleans())
+def test_column_emitter_writes_the_bytes_of_the_list_of_dicts_oracle(name, tasks, failed):
+    report = Report(scenario={"name": name, "params": {"theta": 1.0}}, engine_version="0.1.0",
+                    tasks=tasks, failed=failed)
+    for fmt in ("json", "csv"):
+        assert emit_report(report, fmt) == _oracle_report_bytes(report, fmt)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -529,6 +630,16 @@ def test_cli_kernel_amplitude_underflow_is_error(capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.5"])
+def test_cli_kernel_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tol):
+    # a nan or negative tol used to turn a kernel that resolves into a finding
+    code = main(["kernel", "position", "--preset", "moyal", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: line 0: task position-roi option tol:")
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("which, preset", [("position", "moyal"), ("coherent", "voros")])
 def test_cli_kernel_defaults_match_a_bare_scenario_task(capsys, which, preset):
     code = main(["kernel", which, "--preset", preset, "--format", "json"])
@@ -559,7 +670,7 @@ def test_huge_momenta_and_z_are_error_reports(tmp_path, capsys, argv, scenario):
 
 
 @pytest.mark.parametrize(
-    "expr", ["1e200*1e200", "1e300*1e300 - 1e300*1e300", "1e400", "exp(1000)", "(1e200)^2"]
+    "expr", ["1e200*1e200", "1e300*1e300 - 1e300*1e300", "1e400", "exp(1000)", "(1e200)^2", "x1^1e400"]
 )
 def test_cli_eval_nonfinite_scalar_is_error(capsys, expr):
     code = main(["eval", expr])

@@ -2,12 +2,14 @@
 
 perfbench lives outside this suite's test paths, so a change that renames
 or drops a traced function would otherwise only show when the benchmark
-runs.  This reads perfbench's span table and runs its tracer over the
-golden scenarios and the suites; it changes nothing there.
+runs.  This reads perfbench's span table, runs its tracer over the golden
+scenarios and the suites, and runs one roi_kernels cycle through its job
+checks; it changes nothing there.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,14 +18,19 @@ import genstar
 from genstar import exprio, suites
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("perfbench_tracing", TRACING)
 
 
 @pytest.mark.parametrize("module_name, attr", sorted(
@@ -61,3 +68,18 @@ def test_fock_results_expose_what_perfbench_reads():
     comparison = genstar.overlap_vs_closedform(0.1, 0.2, 1.0, 16)
     for name in ("numeric", "closed", "abs_error"):
         assert hasattr(comparison, name)
+
+
+def test_one_roi_kernels_cycle_passes_perfbench_checks(monkeypatch):
+    # perfbench's closed-form point checks, in tier-1: the 21 kernel grids,
+    # the 3 golden runs and the |p| = 10 job of one cycle at seed 1
+    monkeypatch.setitem(sys.modules, "refs", _load("refs", PERFBENCH / "refs.py"))
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    monkeypatch.chdir(ROOT)  # the golden jobs name their scenarios from the root
+    jobs = workloads.job_list("roi_kernels", 1, workloads.CYCLE_LENGTH["roi_kernels"])
+    assert sorted(job["kind"] for job in jobs) == ["kernel"] * 22 + ["run"] * 3
+    assert max(job.get("reach", 0.0) for job in jobs) == 10.0
+    for job in jobs:
+        inputs = workloads.prepare(job)
+        output = workloads.run(job, inputs)
+        assert workloads.check(job, inputs, output) is None, job

@@ -389,15 +389,92 @@ def test_position_roi_kernel_matches_amplitude():
 def test_roi_diagonal_walks_the_grid_p1_outermost():
     params = make_params(1.0, 0.2, 0.1 - 0.3j, 0.4j)
     values = [-1.0, 0.5, 2.0]
-    got = roi_diagonal("position", params, values)
-    assert [(p1, p2) for p1, p2, _ in got] == [(a, b) for a in values for b in values]
-    for p1, p2, amp in got:
-        assert amp == position_roi_amplitude(params, (p1, p2), (p1, p2))
-    for p1, p2, amp in roi_diagonal("coherent", params, values):
-        p = complex(p1, p2)
-        assert amp == coherent_roi_amplitude(params, p, p)
+    p1, p2, amp = roi_diagonal("position", params, values)
+    assert list(zip(p1.tolist(), p2.tolist())) == [(a, b) for a in values for b in values]
+    for x, y, a in zip(p1.tolist(), p2.tolist(), amp.tolist()):
+        assert a == position_roi_amplitude(params, (x, y), (x, y))
+    p1, p2, amp = roi_diagonal("coherent", params, values)
+    assert list(zip(p1.tolist(), p2.tolist())) == [(a, b) for a in values for b in values]
+    for x, y, a in zip(p1.tolist(), p2.tolist(), amp.tolist()):
+        p = complex(x, y)
+        assert a == coherent_roi_amplitude(params, p, p)
     with pytest.raises(ValidationError, match="state family"):
         roi_diagonal("momentum", params, values)
+
+
+def _bits(z: complex) -> tuple[str, float, float]:
+    """repr and the signs of both parts (repr alone shows no sign of a nan)."""
+    return repr(z), math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+def _scalar_walk(which, params, values):
+    """The per-point amplitudes in p1-outer order, or the text of the first
+    error the scalar function raises on that walk."""
+    out = []
+    for x in values:
+        for y in values:
+            try:
+                if which == "position":
+                    out.append(position_roi_amplitude(params, (x, y), (x, y)))
+                else:
+                    out.append(coherent_roi_amplitude(params, complex(x, y), complex(x, y)))
+            except ValidationError as exc:
+                return str(exc)
+    return out
+
+
+def _roi_bit_cases():
+    """Moyal, Voros and random complex Phi at theta from 1e-3 to 1e2, on
+    grids whose reach runs from inside the float range out to |p| = 40."""
+    rng = np.random.default_rng(17)
+    for theta in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
+        random_phi = random_params(rng)
+        families = (
+            preset_params("moyal", theta),
+            preset_params("voros", theta),
+            make_params(theta, random_phi.phi11, random_phi.phi12, random_phi.phi22),
+        )
+        for params in families:
+            # theta |p|^2 up to about 1400 keeps most grids in range; 40 crosses it
+            reach = min(40.0, math.sqrt(1400.0 / theta)) * rng.uniform(0.3, 1.0)
+            for r, n in ((reach, int(rng.integers(20, 51))), (40.0, int(rng.integers(5, 16)))):
+                # random axis values: a symmetric grid repeats each |p| up to 8 times
+                yield params, np.sort(rng.uniform(-r, r, n)).tolist()
+
+
+@pytest.mark.parametrize("which", ["position", "coherent"])
+def test_roi_diagonal_matches_the_scalar_amplitudes_bit_for_bit(which):
+    points = errors = 0
+    for params, values in _roi_bit_cases():
+        want = _scalar_walk(which, params, values)
+        if isinstance(want, str):
+            with pytest.raises(ValidationError) as info:
+                roi_diagonal(which, params, values)
+            assert str(info.value) == want
+            errors += 1
+            continue
+        p1, p2, amp = roi_diagonal(which, params, values)
+        assert list(zip(p1.tolist(), p2.tolist())) == [(x, y) for x in values for y in values]
+        assert [_bits(a) for a in amp.tolist()] == [_bits(a) for a in want]
+        points += len(want)
+    assert points > 10000 and errors > 3  # both the batched walk and the range edge ran
+
+
+def test_roi_diagonal_raises_the_scalar_error_at_the_first_failing_point():
+    voros = preset_params("voros", 1.0)
+    # the pair factor exp(theta |p|^2 / 2) overflows from |p| = 37.7, first at (0, 38)
+    with pytest.raises(ValidationError) as info:
+        roi_diagonal("coherent", voros, [0.0, 37.0, 38.0])
+    assert str(info.value) == "star_wave: the pair factor exp(722+0j) overflows"
+    with pytest.raises(ValidationError, match="overflows") as scalar:
+        coherent_roi_amplitude(voros, 38j, 38j)
+    assert str(scalar.value) == str(info.value)
+    # at theta = 2 the state Gaussians round to exactly 0 at the first corner
+    with pytest.raises(ValidationError, match="got 0 terms .* exactly 0"):
+        roi_diagonal("coherent", preset_params("voros", 2.0), np.linspace(-30, 30, 3))
+    # a momentum whose |p|^2 overflows is named as the scalar walk meets it
+    with pytest.raises(ValidationError, match=r"overflows at \|p\| = 1\.41e\+200"):
+        roi_diagonal("coherent", voros, [-1e200, 0.0, 1e300])
 
 
 # -- coherent-state kernel ----------------------------------------------------
