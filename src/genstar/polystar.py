@@ -1,19 +1,29 @@
-"""Exact star-product algebra on sparse two-variable polynomials.
+"""Exact star-product algebra on two-variable polynomials held as arrays.
 
-The star product f * g = exp(K_ab d_a e_b) f(x) g(y) at y = x and the
-equivalence map T = exp((i/4) Phi_ij d_i d_j) are both exponentials of a
-constant-coefficient second-order operator B.  One routine,
-`_exp_operator`, sums B^k / k! on a sparse map from exponent tuples to
-coefficients: the star product runs it on f(x) g(y), keyed
-(a1, a2, b1, b2), and then sets y = x; T runs it on f itself.  B lowers
-the degree, so the series ends on its own, after min(deg f, deg g) steps
-for the star product and deg(f)//2 for T.
+A Polynomial2 holds c[n1, n2], the coefficient of x1^n1 x2^n2 (or z^n1
+zbar^n2), trimmed to the smallest box around its nonzero coefficients.
+The star product f * g = exp(K_ab d_a e_b) f(x) g(y) at y = x and the map
+T = exp((i/4) Phi_ij d_i d_j) both exponentiate sums of commuting terms
+w d_i d_j, and one kernel, `_exp_operator`, applies the terms in turn.
+Term k of exp(w d_i d_j) maps x_i^a x_j^b to (w^k / k!) (a)_k (b)_k
+x_i^(a-k) x_j^(b-k): the array shifted by k along axes i and j, times the
+falling factorials (a)_k = a!/(a-k)!.  The star product runs the kernel on
+the 4-axis tensor f(x) g(y) and sums it into (a1 + b1, a2 + b2) to set
+y = x (`_contract`, which alone is the ordinary product).
+
+The coefficients stay in the monomial basis, where the falling factorials
+are exact integers.  Rescaled by a! (a Taylor basis, in which d_i is a
+plain shift) they pass 2^53, and (x1 + x2)^10 *_Voros (x1 - x2)^10 then
+shows monomials that the exact series cancels.  A dense box costs its
+whole size even for sparse operands; `_check_box` bounds it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator
+
+import numpy as np
 
 from .deformation import (
     CARTESIAN,
@@ -26,38 +36,86 @@ from .deformation import (
 from .errors import FrameMismatchError, ValidationError
 
 #: coefficients smaller than this in magnitude are dropped after every
-#: operation so that sparse maps stay canonical
+#: operation so that the arrays stay canonical
 PRUNE_TOL = 1e-14
+
+#: the most coefficients one array may hold, star tensors included (32
+#: MiB), and the highest degree in one variable.  The kernel multiplies
+#: w^k / k! by two falling factorials of up to 93! each; (93!)^2 times the
+#: smallest normal double is below 2^-53, so a w^k / k! that underflows
+#: drops nothing that rounding would not (at degree 127 it drops whole
+#: coefficients)
+_MAX_COEFFICIENTS = 1 << 21
+_MAX_DEGREE = 93
+
+
+def _falling_table(n: int) -> np.ndarray:
+    """F[a, k] = a! / (a - k)! for a, k < n; 0 where k > a."""
+    a = np.arange(n, dtype=float)
+    steps = np.subtract.outer(a + 1.0, a)  # column k >= 1 holds a - k + 1
+    steps[:, 0] = 1.0
+    return np.cumprod(steps, axis=1)
+
+
+#: the falling factorials of every exponent a polynomial may hold
+_FALLING = _falling_table(_MAX_DEGREE + 1)
+_FALLING.flags.writeable = False
 
 _VARIABLES = {"x1": (CARTESIAN, 0), "x2": (CARTESIAN, 1), "z": (COMPLEX, 0), "zbar": (COMPLEX, 1)}
 
 
+def _check_box(shape) -> tuple:
+    """shape, once an array of it is within the dense limits."""
+    if max(shape) > _MAX_DEGREE + 1 or math.prod(shape) > _MAX_COEFFICIENTS:
+        raise ValidationError(f"a {shape} coefficient array exceeds the dense limits: degree "
+                              f"{_MAX_DEGREE} in each variable, {_MAX_COEFFICIENTS} coefficients")
+    return shape
+
+
 class Polynomial2:
-    """Sparse complex-coefficient polynomial in two variables.
+    """Complex-coefficient polynomial in two variables.
 
     The variables are (x1, x2) in the cartesian frame or (z, zbar) in the
     complex frame; binary operations require matching frames.  Instances
     are immutable values.
     """
 
-    __slots__ = ("frame", "_terms")
+    __slots__ = ("frame", "_c")
 
     def __init__(self, terms=None, frame: str = CARTESIAN):
         if frame not in FRAMES:
             raise ValidationError(f"unknown frame {frame!r}; expected one of {FRAMES}")
         clean: dict[tuple[int, int], complex] = {}
-        if terms:
-            for key, coeff in terms.items():
-                n1, n2 = key
-                if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 0 or n2 < 0:
-                    raise ValidationError(f"exponents must be non-negative integers, got {key!r}")
-                c = complex(coeff)
-                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise ValidationError(f"coefficient of {key!r} must be finite, got {coeff!r}")
-                if abs(c) >= PRUNE_TOL:
-                    clean[(n1, n2)] = clean.get((n1, n2), 0j) + c
+        for key, coeff in (terms or {}).items():
+            n1, n2 = key
+            if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 0 or n2 < 0:
+                raise ValidationError(f"exponents must be non-negative integers, got {key!r}")
+            clean[int(n1), int(n2)] = complex(coeff)
+        c = np.zeros(_check_box(tuple(max(n) + 1 for n in zip(*clean)) or (1, 1)), dtype=complex)
+        for key, value in clean.items():
+            c[key] = value
+        self._store(c, frame)
+
+    @classmethod
+    def _from_array(cls, c: np.ndarray, frame: str) -> "Polynomial2":
+        """An engine result: no per-coefficient validation."""
+        self = object.__new__(cls)
+        self._store(c, frame)
+        return self
+
+    def _store(self, c: np.ndarray, frame: str) -> None:
+        """Keep c once it is finite, with coefficients below PRUNE_TOL set to
+        0 and trailing zero rows and columns cut, so that equal polynomials
+        hold equal arrays."""
+        if not np.isfinite(c).all():
+            key = tuple(int(n[0]) for n in np.nonzero(~np.isfinite(c)))
+            raise ValidationError(f"coefficient of {key!r} must be finite, got {complex(c[key])!r}")
+        keep = np.abs(c) >= PRUNE_TOL
+        n1, n2 = keep.nonzero()
+        c = np.where(keep, c, 0j)[: n1[-1] + 1, : n2.max() + 1] if n1.size else np.zeros((1, 1), complex)
+        _check_box(c.shape)
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_c", c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial2 is immutable")
@@ -84,27 +142,28 @@ class Polynomial2:
 
     @property
     def terms(self) -> dict[tuple[int, int], complex]:
-        return dict(self._terms)
+        return dict(self.items())
 
     def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
-        return iter(self._terms.items())
+        n1, n2 = np.nonzero(self._c)
+        return zip(zip(n1.tolist(), n2.tolist()), self._c[n1, n2].tolist())
 
     def coefficient(self, n1: int, n2: int) -> complex:
-        return self._terms.get((n1, n2), 0j)
+        d1, d2 = self._c.shape
+        return complex(self._c[n1, n2]) if 0 <= n1 < d1 and 0 <= n2 < d2 else 0j
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c.any()
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(n1 + n2 for n1, n2 in self._terms)
+        n1, n2 = np.nonzero(self._c)
+        return int((n1 + n2).max()) if n1.size else -1
 
     def evaluate(self, v1, v2) -> complex:
         v1, v2 = complex(v1), complex(v2)
-        return sum((c * v1**n1 * v2**n2 for (n1, n2), c in self._terms.items()), 0j)
+        return sum((c * v1**n1 * v2**n2 for (n1, n2), c in self.items()), 0j)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -118,16 +177,12 @@ class Polynomial2:
         return Polynomial2.constant(other, self.frame)
 
     def __add__(self, other) -> "Polynomial2":
-        other = self._coerce(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0j) + c
-        return Polynomial2(out, self.frame)
+        return Polynomial2._from_array(_sum(self._c, self._coerce(other)._c), self.frame)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial2":
-        return Polynomial2({k: -c for k, c in self._terms.items()}, self.frame)
+        return Polynomial2._from_array(-self._c, self.frame)
 
     def __sub__(self, other) -> "Polynomial2":
         return self + (-self._coerce(other))
@@ -137,15 +192,9 @@ class Polynomial2:
 
     def __mul__(self, other) -> "Polynomial2":
         if not isinstance(other, Polynomial2):
-            c = complex(other)
-            return Polynomial2({k: c * v for k, v in self._terms.items()}, self.frame)
+            return Polynomial2._from_array(self._c * complex(other), self.frame)
         other = self._coerce(other)
-        out: dict[tuple[int, int], complex] = {}
-        for (a1, a2), ca in self._terms.items():
-            for (b1, b2), cb in other._terms.items():
-                key = (a1 + b1, a2 + b2)
-                out[key] = out.get(key, 0j) + ca * cb
-        return Polynomial2(out, self.frame)
+        return Polynomial2._from_array(_contract(_outer(self._c, other._c)), self.frame)
 
     __rmul__ = __mul__
 
@@ -165,101 +214,105 @@ class Polynomial2:
         """Partial derivative along variable 0 or 1, applied `order` times."""
         if axis not in (0, 1):
             raise ValidationError(f"axis must be 0 or 1, got {axis!r}")
-        terms = self._terms
-        for _ in range(order):
-            terms = _deriv_terms(terms, axis)
-        return Polynomial2(terms, self.frame)
+        if not isinstance(order, int) or order < 0:
+            raise ValidationError(f"order must be a non-negative integer, got {order!r}")
+        c = np.moveaxis(self._c, axis, 0)
+        if order >= len(c):
+            return Polynomial2.zero(self.frame)
+        out = c[order:] * _FALLING[order : len(c), order, None]
+        return Polynomial2._from_array(np.moveaxis(out, 0, axis), self.frame)
 
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial2):
             return NotImplemented
-        return self.frame == other.frame and self._terms == other._terms
+        return self.frame == other.frame and np.array_equal(self._c, other._c)
 
     def __hash__(self):
-        return hash((self.frame, frozenset(self._terms.items())))
+        return hash((self.frame, frozenset(self.items())))
 
     def max_diff(self, other: "Polynomial2") -> float:
         """Largest coefficient-wise absolute difference."""
-        other = self._coerce(other)
-        keys = set(self._terms) | set(other._terms)
-        if not keys:
-            return 0.0
-        return max(abs(self._terms.get(k, 0j) - other._terms.get(k, 0j)) for k in keys)
+        return float(np.abs(_sum(self._c, -self._coerce(other)._c)).max())
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"({n1},{n2}): {c}" for (n1, n2), c in sorted(self._terms.items())
-        )
+        body = ", ".join(f"({n1},{n2}): {c}" for (n1, n2), c in self.items())
         return f"Polynomial2({{{body}}}, frame={self.frame!r})"
 
 
-def _deriv_terms(terms: dict, axis: int) -> dict:
-    out: dict[tuple[int, int], complex] = {}
-    for (n1, n2), c in terms.items():
-        e = n1 if axis == 0 else n2
-        if e == 0:
-            continue
-        key = (n1 - 1, n2) if axis == 0 else (n1, n2 - 1)
-        out[key] = out.get(key, 0j) + c * e
+def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, zero-padded to the larger box."""
+    out = np.zeros((max(len(a), len(b)), max(a.shape[1], b.shape[1])), dtype=complex)
+    out[: len(a), : a.shape[1]] += a
+    out[: len(b), : b.shape[1]] += b
     return out
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tensor a(x) b(y), axes (a1, a2, b1, b2)."""
+    _check_box(a.shape + b.shape)
+    return a[:, :, None, None] * b
+
+
+def _exp_operator(c: np.ndarray, weights) -> np.ndarray:
+    """exp(B) c for B = sum of w d_i d_j over the (w, i, j) in weights, one
+    term after another; axis n of c holds the exponent of variable n.  A
+    term past the double range leaves an inf or nan, which Polynomial2
+    rejects."""
+    for w, i, j in weights:
+        step = 2 if i == j else 1
+        top = (min(c.shape[i], c.shape[j]) - 1) // step  # the last power inside the box
+        if w == 0 or top < 1:
+            continue
+        coef = [1.0]
+        for k in range(1, top + 1):
+            coef.append(coef[-1] * w / k)
+        # scale[k] = (w^k / k!) (a)_(step k) along axis i, times (b)_k along axis j
+        scale = np.array(coef)[:, None] * _FALLING[: c.shape[i], : step * top + 1 : step].T
+        if i != j:
+            fj = _FALLING[: c.shape[j], : top + 1].T
+            scale = scale[:, :, None] * fj[:, None, :]
+        scale = scale.reshape(scale.shape + (1,) * (c.ndim - scale.ndim + 1))
+        axes = (i,) if i == j else (i, j)
+        order = axes + tuple(n for n in range(c.ndim) if n not in axes)
+        src = c.transpose(order)
+        out = src.copy()
+        for k in range(1, top + 1):
+            s = step * k
+            if i == j:
+                view = out[: len(src) - s]
+                view += scale[k, s:] * src[s:]
+            else:
+                view = out[: len(src) - s, : src.shape[1] - s]
+                view += scale[k, s:, s:] * src[s:, s:]
+        c = out.transpose(tuple(order.index(n) for n in range(c.ndim)))
+    return c
+
+
+def _skew_sum(t: np.ndarray) -> np.ndarray:
+    """out[a + b, ...] = sum of t[a, b, ...]: read with rows one shorter, a
+    zero-padded copy of t has row a shifted right by a.  The shorter of the
+    two axes is taken as rows, so the copy is at most twice the size of t."""
+    if len(t) > t.shape[1]:
+        t = t.swapaxes(0, 1)
+    n, m = t.shape[:2]
+    rest = t.shape[2:]
+    pad = np.zeros((n, n + m) + rest, dtype=complex)
+    pad[:, :m] = t
+    return pad.reshape((-1,) + rest)[: n * (n + m - 1)].reshape((n, n + m - 1) + rest).sum(axis=0)
+
+
+def _contract(t: np.ndarray) -> np.ndarray:
+    """Set y = x: t[a1, a2, b1, b2] summed into out[a1 + b1, a2 + b2]."""
+    rows = _skew_sum(t.transpose(0, 2, 1, 3))  # (a1 + b1, a2, b2)
+    return _skew_sum(rows.transpose(1, 2, 0)).T
 
 
 def _check_frames(f: Polynomial2, g: Polynomial2) -> str:
     if f.frame != g.frame:
         raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
     return f.frame
-
-
-def _exp_operator(terms: dict, weights) -> dict:
-    """sum_k B^k(terms) / k! for B = sum of w d_i d_j over the (w, i, j) in
-    weights, with terms keyed by exponent tuples.
-
-    B lowers the total degree by two, so the series ends on its own: the
-    loop stops at the first step that comes out empty.
-    """
-    ops = [(w, i, j, int(i == j)) for w, i, j in weights if w != 0j]
-    out = dict(terms)
-    cur = terms
-    k = 0
-    while cur and ops:
-        k += 1
-        nxt: dict[tuple, complex] = {}
-        for w, i, j, same in ops:
-            w = w / k
-            for key, c in cur.items():
-                m = key[i] * (key[j] - same)  # 0 once d_i d_j kills the monomial
-                if m > 0:
-                    new = list(key)
-                    new[i] -= 1
-                    new[j] -= 1
-                    new = tuple(new)
-                    nxt[new] = nxt.get(new, 0j) + w * m * c
-        for key, c in nxt.items():
-            out[key] = out.get(key, 0j) + c
-        cur = nxt
-    return out
-
-
-def _star_series(f: Polynomial2, g: Polynomial2, k11, k12, k21, k22) -> dict:
-    """exp(K_ab d_a e_b) applied to f(x) g(y), keyed (a1, a2, b1, b2); d
-    acts on x and e on y."""
-    tensor = {
-        (a1, a2, b1, b2): cf * cg
-        for (a1, a2), cf in f._terms.items()
-        for (b1, b2), cg in g._terms.items()
-    }
-    return _exp_operator(tensor, ((k11, 0, 2), (k12, 0, 3), (k21, 1, 2), (k22, 1, 3)))
-
-
-def _contract(tensor: dict) -> dict:
-    """Set y = x: (a1, a2, b1, b2) -> (a1 + b1, a2 + b2)."""
-    out: dict[tuple[int, int], complex] = {}
-    for (a1, a2, b1, b2), c in tensor.items():
-        key = (a1 + b1, a2 + b2)
-        out[key] = out.get(key, 0j) + c
-    return out
 
 
 def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
@@ -270,18 +323,22 @@ def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Poly
     complex frame.
     """
     frame = _check_frames(f, g)
-    return Polynomial2(_contract(_star_series(f, g, *star_kernel(frame, params))), frame)
+    k11, k12, k21, k22 = star_kernel(frame, params)
+    # exp(K_ab d_a e_b) on f(x) g(y), axes (a1, a2, b1, b2): d acts on x, e on y
+    tensor = _exp_operator(_outer(f._c, g._c), ((k11, 0, 2), (k12, 0, 3), (k21, 1, 2), (k22, 1, 3)))
+    return Polynomial2._from_array(_contract(tensor), frame)
 
 
 def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """f * g - g * f under the star product."""
     frame = _check_frames(f, g)
     k11, k12, k21, k22 = star_kernel(frame, params)
-    fg = _star_series(f, g, k11, k12, k21, k22)
-    # g * f is the same series with the kernel transposed
-    for key, c in _star_series(f, g, k11, k21, k12, k22).items():
-        fg[key] = fg.get(key, 0j) - c
-    return Polynomial2(_contract(fg), frame)
+    # g * f is the same series with the kernel transposed; the diagonal
+    # terms of both run once
+    tensor = _exp_operator(_outer(f._c, g._c), ((k11, 0, 2), (k22, 1, 3)))
+    fg = _exp_operator(tensor, ((k12, 0, 3), (k21, 1, 2)))
+    gf = _exp_operator(tensor, ((k21, 0, 3), (k12, 1, 2)))
+    return Polynomial2._from_array(_contract(fg - gf), frame)
 
 
 def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
@@ -292,12 +349,8 @@ def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """
     if f.frame != CARTESIAN:
         raise FrameMismatchError("the equivalence map acts on cartesian polynomials")
-    weights = (
-        (0.25j * params.phi11, 0, 0),
-        (0.5j * params.phi12, 0, 1),
-        (0.25j * params.phi22, 1, 1),
-    )
-    return Polynomial2(_exp_operator(f._terms, weights), CARTESIAN)
+    weights = ((0.25j * params.phi11, 0, 0), (0.5j * params.phi12, 0, 1), (0.25j * params.phi22, 1, 1))
+    return Polynomial2._from_array(_exp_operator(f._c, weights), CARTESIAN)
 
 
 def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> float:
@@ -307,7 +360,7 @@ def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: Deformatio
     rounding."""
     lhs = tmap_poly(star_poly(f, g, params.moyal()), params)
     rhs = star_poly(tmap_poly(f, params), tmap_poly(g, params), params)
-    scale = max([1.0] + [abs(c) for c in (*lhs._terms.values(), *rhs._terms.values())])
+    scale = max(1.0, float(np.abs(lhs._c).max()), float(np.abs(rhs._c).max()))
     return lhs.max_diff(rhs) / scale
 
 
@@ -322,18 +375,13 @@ def xhat_apply(mu: int, f: Polynomial2, params: DeformationParams) -> Polynomial
 
 
 def _substitute(f: Polynomial2, sub1: Polynomial2, sub2: Polynomial2) -> Polynomial2:
-    frame = sub1.frame
-    deg1 = max((n1 for n1, _ in f._terms), default=0)
-    deg2 = max((n2 for _, n2 in f._terms), default=0)
-    pow1 = [Polynomial2.constant(1.0, frame)]
-    for _ in range(deg1):
-        pow1.append(pow1[-1] * sub1)
-    pow2 = [Polynomial2.constant(1.0, frame)]
-    for _ in range(deg2):
-        pow2.append(pow2[-1] * sub2)
-    out = Polynomial2.zero(frame)
-    for (n1, n2), c in f._terms.items():
-        out = out + pow1[n1] * pow2[n2] * c
+    """f(sub1, sub2) by Horner's rule in each variable."""
+    out = Polynomial2.zero(sub1.frame)
+    for row in f._c[::-1]:
+        inner = Polynomial2.zero(sub1.frame)
+        for c in row[::-1]:
+            inner = inner * sub2 + complex(c)
+        out = out * sub1 + inner
     return out
 
 

@@ -358,6 +358,17 @@ def fock_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
     return SuiteResult("fock", seed, checks)
 
 
+#: suite name -> (the keywords its trial count sets, its runner); each
+#: runner names its suite at call time, so a rebound name (a tracer's
+#: wrapper) is the one called
+_SUITES = {
+    "algebra": (("commutator_trials", "law_trials"), lambda **kw: algebra_suite(**kw)),
+    "equivalence": (("trials",), lambda **kw: equivalence_suite(**kw)),
+    "roi": ((), lambda **kw: roi_suite(**kw)),
+    "fock": (("trials",), lambda **kw: fock_suite(**kw)),
+}
+
+
 def run_suites(names=SUITE_NAMES, seed: int = 0, trials: int | None = None) -> list[SuiteResult]:
     """Run the named suites.  trials = None keeps each suite's pinned
     default counts (100 commutator draws, 200 law triples, 100 pairs,
@@ -369,17 +380,8 @@ def run_suites(names=SUITE_NAMES, seed: int = 0, trials: int | None = None) -> l
         raise ValidationError(f"trials must be at least 1, got {trials!r}")
     out = []
     for name in names:
-        if name == "algebra":
-            kw = {} if trials is None else {"commutator_trials": trials, "law_trials": trials}
-            out.append(algebra_suite(seed=seed, **kw))
-        elif name == "equivalence":
-            kw = {} if trials is None else {"trials": trials}
-            out.append(equivalence_suite(seed=seed, **kw))
-        elif name == "roi":
-            out.append(roi_suite(seed=seed))
-        elif name == "fock":
-            kw = {} if trials is None else {"trials": trials}
-            out.append(fock_suite(seed=seed, **kw))
-        else:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+        keys, run = _SUITES[name]
+        out.append(run(seed=seed, **({} if trials is None else dict.fromkeys(keys, trials))))
     return out

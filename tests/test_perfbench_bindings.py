@@ -3,8 +3,8 @@
 perfbench lives outside this suite's test paths, so a change that renames
 or drops a traced function would otherwise only show when the benchmark
 runs.  This reads perfbench's span table, runs its tracer over the golden
-scenarios and the suites, and runs one roi_kernels cycle through its job
-checks; it changes nothing there.
+scenarios and the suites, and runs one roi_kernels and one big_operands
+cycle through its job checks; it changes nothing there.
 """
 
 import importlib
@@ -70,15 +70,32 @@ def test_fock_results_expose_what_perfbench_reads():
         assert hasattr(comparison, name)
 
 
+def _cycle(monkeypatch, workload):
+    monkeypatch.setitem(sys.modules, "refs", _load("refs", PERFBENCH / "refs.py"))
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    return workloads, workloads.job_list(workload, 1, workloads.CYCLE_LENGTH[workload])
+
+
 def test_one_roi_kernels_cycle_passes_perfbench_checks(monkeypatch):
     # perfbench's closed-form point checks, in tier-1: the 21 kernel grids,
     # the 3 golden runs and the |p| = 10 job of one cycle at seed 1
-    monkeypatch.setitem(sys.modules, "refs", _load("refs", PERFBENCH / "refs.py"))
-    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads, jobs = _cycle(monkeypatch, "roi_kernels")
     monkeypatch.chdir(ROOT)  # the golden jobs name their scenarios from the root
-    jobs = workloads.job_list("roi_kernels", 1, workloads.CYCLE_LENGTH["roi_kernels"])
     assert sorted(job["kind"] for job in jobs) == ["kernel"] * 22 + ["run"] * 3
     assert max(job.get("reach", 0.0) for job in jobs) == 10.0
+    for job in jobs:
+        inputs = workloads.prepare(job)
+        output = workloads.run(job, inputs)
+        assert workloads.check(job, inputs, output) is None, job
+
+
+def test_one_big_operands_cycle_passes_perfbench_checks(monkeypatch):
+    # perfbench's reference checks on the asymptotic tiers, in tier-1: the
+    # 15 templates of one cycle at seed 1, dense star_poly at 13 x 14 included
+    workloads, jobs = _cycle(monkeypatch, "big_operands")
+    assert len(jobs) == 15
+    assert {"df": 13, "dg": 14} in [{k: job[k] for k in ("df", "dg")} for job in jobs
+                                    if job["kind"] == "dense_poly"]
     for job in jobs:
         inputs = workloads.prepare(job)
         output = workloads.run(job, inputs)

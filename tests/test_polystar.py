@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genstar import (
+    CARTESIAN,
+    COMPLEX,
     FrameMismatchError,
     Polynomial2,
     SingularParameterError,
@@ -14,12 +16,14 @@ from genstar import (
     make_params,
     preset_params,
     star_commutator,
+    star_kernel,
     star_poly,
     tmap_poly,
     to_cartesian_frame,
     to_complex_frame,
     xhat_apply,
 )
+from genstar.polystar import PRUNE_TOL
 from genstar.suites import random_params, random_polynomial
 
 X1 = Polynomial2.variable("x1")
@@ -48,6 +52,20 @@ def test_constructor_rejects_nonfinite_coefficients():
         Polynomial2({(0, 0): float("nan")})
 
 
+def test_dense_limits_raise_validation_error():
+    # past degree 93 in one variable the falling factorials leave the range
+    # where an underflowing w^k / k! is harmless; a sparse operand still
+    # costs its whole box, and the engine refuses before it allocates
+    assert (X1**93).terms == {(93, 0): 1.0 + 0j}
+    with pytest.raises(ValidationError):
+        Polynomial2({(94, 0): 1.0})
+    with pytest.raises(ValidationError):
+        X1**94
+    big = Polynomial2({(90, 90): 1.0})
+    with pytest.raises(ValidationError):
+        star_poly(big, big, make_params(1.0))
+
+
 def test_zero_polynomial_has_empty_terms():
     assert Polynomial2.zero().is_zero
     assert (X1 - X1).is_zero
@@ -74,6 +92,14 @@ def test_derivative():
     assert p.derivative(1).terms == {(2, 0): 1.0 + 0j}
     assert p.derivative(0, order=2).terms == {(0, 1): 2.0 + 0j}
     assert p.derivative(0, order=3).is_zero
+
+
+def test_derivative_validates_order():
+    p = X1 * X1
+    assert p.derivative(0, order=0) == p
+    for order in (-1, 1.5, "1", None):
+        with pytest.raises(ValidationError):
+            p.derivative(0, order)
 
 
 def test_frame_mismatch_raises():
@@ -268,6 +294,161 @@ def test_polynomial_tier_matches_symbolic_series():
         for m, oracle in tmaps.items():
             got = tmap_poly(Polynomial2({m: 1.0}), params)
             assert got.max_diff(expected(oracle, phi)) < 1e-13
+
+
+@pytest.mark.parametrize("n, count", [(8, 45), (10, 66)])
+def test_voros_product_has_exactly_the_monomials_of_the_series(n, count):
+    # (x1 + x2)^n *_Voros (x1 - x2)^n at theta = 1: rounding that does not
+    # cancel shows up as monomials the exact series does not have
+    kernel = (sp.Rational(1, 2), sp.I / 2, -sp.I / 2, sp.Rational(1, 2))
+    term = sp.Poly((SX1 + SX2) ** n * (SY1 - SY2) ** n, SX1, SX2, SY1, SY2, domain="QQ_I")
+    total, k = term, 0
+    while not term.is_zero:
+        k += 1
+        term = (term.diff(SX1).diff(SY1) * kernel[0] + term.diff(SX1).diff(SY2) * kernel[1]
+                + term.diff(SX2).diff(SY1) * kernel[2] + term.diff(SX2).diff(SY2) * kernel[3]) * sp.Rational(1, k)
+        total += term
+    series = sp.Poly(total.as_expr().subs({SY1: SX1, SY2: SX2}), SX1, SX2)
+    want = {m: complex(c) for m, c in zip(series.monoms(), series.coeffs())}
+    got = star_poly((X1 + X2) ** n, (X1 - X2) ** n, preset_params("voros", 1.0)).terms
+    assert len(want) == count
+    assert set(got) == set(want)
+    for m, c in want.items():
+        assert abs(got[m] - c) <= 1e-15 * abs(c)
+
+
+# -- dict oracle -------------------------------------------------------------
+#
+# The polynomial tier once held coefficients in dicts keyed by exponent
+# tuples and applied each operator one key at a time.  That code is kept
+# here, unchanged in its arithmetic, as an independent oracle for the
+# array kernel: the two share only star_kernel's weights.
+
+
+def _dict_exp_operator(terms: dict, weights) -> dict:
+    """sum_k B^k(terms) / k! for B = sum of w d_i d_j over the (w, i, j) in
+    weights; the loop stops at the first step that comes out empty."""
+    ops = [(w, i, j, int(i == j)) for w, i, j in weights if w != 0j]
+    out = dict(terms)
+    cur = terms
+    k = 0
+    while cur and ops:
+        k += 1
+        nxt: dict = {}
+        for w, i, j, same in ops:
+            w = w / k
+            for key, c in cur.items():
+                m = key[i] * (key[j] - same)  # 0 once d_i d_j kills the monomial
+                if m > 0:
+                    new = list(key)
+                    new[i] -= 1
+                    new[j] -= 1
+                    new = tuple(new)
+                    nxt[new] = nxt.get(new, 0j) + w * m * c
+        for key, c in nxt.items():
+            out[key] = out.get(key, 0j) + c
+        cur = nxt
+    return out
+
+
+def _dict_contract(tensor: dict) -> dict:
+    """Set y = x: (a1, a2, b1, b2) -> (a1 + b1, a2 + b2)."""
+    out: dict = {}
+    for (a1, a2, b1, b2), c in tensor.items():
+        key = (a1 + b1, a2 + b2)
+        out[key] = out.get(key, 0j) + c
+    return out
+
+
+def _dict_tensor(f: dict, g: dict) -> dict:
+    return {(a1, a2, b1, b2): cf * cg for (a1, a2), cf in f.items() for (b1, b2), cg in g.items()}
+
+
+def _dict_star(f: dict, g: dict, k11, k12, k21, k22) -> dict:
+    weights = ((k11, 0, 2), (k12, 0, 3), (k21, 1, 2), (k22, 1, 3))
+    return _dict_contract(_dict_exp_operator(_dict_tensor(f, g), weights))
+
+
+def _dict_sum(*parts) -> dict:
+    out: dict = {}
+    for scale, terms in parts:
+        for key, c in terms.items():
+            out[key] = out.get(key, 0j) + scale * c
+    return out
+
+
+def _dict_product(f: dict, g: dict) -> dict:
+    return _dict_contract(_dict_tensor(f, g))
+
+
+def _dict_substitute(f: dict, sub1: dict, sub2: dict) -> dict:
+    """f(sub1, sub2) from the powers of the substituted polynomials."""
+    pow1, pow2 = [{(0, 0): 1 + 0j}], [{(0, 0): 1 + 0j}]
+    for _ in range(max((n1 for n1, _ in f), default=0)):
+        pow1.append(_dict_product(pow1[-1], sub1))
+    for _ in range(max((n2 for _, n2 in f), default=0)):
+        pow2.append(_dict_product(pow2[-1], sub2))
+    return _dict_sum(*((c, _dict_product(pow1[n1], pow2[n2])) for (n1, n2), c in f.items()))
+
+
+def _assert_matches(got: Polynomial2, want: dict, frame: str, *parts: dict):
+    # 1e-12 of the largest coefficient of want, or of the parts whose
+    # difference it is; a coefficient within PRUNE_TOL of 0 may be
+    # dropped on one side only
+    assert got.frame == frame
+    scale = max((abs(c) for terms in (want, *parts) for c in terms.values()), default=0.0)
+    mine = got.terms
+    for key in mine.keys() | want.keys():
+        assert abs(mine.get(key, 0j) - want.get(key, 0j)) <= 1e-12 * scale + PRUNE_TOL, key
+
+
+@st.composite
+def _operand(draw, frame):
+    """A sparse (up to 6 monomials) or dense coefficient dict, each
+    exponent <= 12."""
+    d1, d2 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box = [(n1, n2) for n1 in range(d1 + 1) for n2 in range(d2 + 1)]
+    if draw(st.booleans()):
+        box = [box[int(i)] for i in rng.choice(len(box), size=min(len(box), 6), replace=False)]
+    terms = {key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for key in box}
+    return Polynomial2(terms, frame)
+
+
+@st.composite
+def _family(draw):
+    theta = 10.0 ** draw(st.floats(-3.0, 2.0))
+    kind = draw(st.sampled_from(["moyal", "voros", "random"]))
+    if kind != "random":
+        return preset_params(kind, theta)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = (theta * complex(*rng.standard_normal(2)) for _ in range(3))
+    return make_params(theta, *phi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), frame=st.sampled_from([CARTESIAN, COMPLEX]), params=_family())
+def test_array_tier_matches_dict_oracle(data, frame, params):
+    f = data.draw(_operand(frame))
+    g = data.draw(_operand(frame))
+    fd, gd = f.terms, g.terms
+    kernel = star_kernel(frame, params)
+    k11, k12, k21, k22 = kernel
+    fg, gf = _dict_star(fd, gd, *kernel), _dict_star(fd, gd, k11, k21, k12, k22)
+    _assert_matches(star_poly(f, g, params), fg, frame)
+    _assert_matches(star_commutator(f, g, params), _dict_sum((1, fg), (-1, gf)), frame, fg, gf)
+    _assert_matches(f * g, _dict_product(fd, gd), frame)
+    t = params.theta
+    if frame == CARTESIAN:
+        weights = ((0.25j * params.phi11, 0, 0), (0.5j * params.phi12, 0, 1), (0.25j * params.phi22, 1, 1))
+        _assert_matches(tmap_poly(f, params), _dict_exp_operator(fd, weights), frame)
+        s = np.sqrt(t / 2)
+        sub = ({(1, 0): s, (0, 1): s}, {(1, 0): -1j * s, (0, 1): 1j * s})
+        _assert_matches(to_complex_frame(f, t), _dict_substitute(fd, *sub), COMPLEX)
+    else:
+        s = 1 / np.sqrt(2 * t)
+        sub = ({(1, 0): s, (0, 1): 1j * s}, {(1, 0): s, (0, 1): -1j * s})
+        _assert_matches(to_cartesian_frame(f, t), _dict_substitute(fd, *sub), CARTESIAN)
 
 
 # -- deformed coordinate operators ---------------------------------------
