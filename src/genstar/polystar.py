@@ -3,23 +3,25 @@
 A Polynomial2 holds c[n1, n2], the coefficient of x1^n1 x2^n2 (or z^n1
 zbar^n2), trimmed to the smallest box around its nonzero coefficients.
 The star product f * g = exp(K_ab d_a e_b) f(x) g(y) at y = x and the map
-T = exp((i/4) Phi_ij d_i d_j) both exponentiate sums of commuting terms
-w d_i d_j, and one kernel, `_exp_operator`, applies the terms in turn.
-Term k of exp(w d_i d_j) maps x_i^a x_j^b to (w^k / k!) (a)_k (b)_k
-x_i^(a-k) x_j^(b-k): the array shifted by k along axes i and j, times the
-falling factorials (a)_k = a!/(a-k)!.  The star product runs the kernel on
-the 4-axis tensor f(x) g(y) and sums it into (a1 + b1, a2 + b2) to set
-y = x (`_contract`, which alone is the ordinary product).
+T = exp((i/4) Phi_ij d_i d_j) exponentiate sums of commuting terms
+w d_i d_j, which one kernel, `_exp_operator`, applies in turn: term k of
+exp(w d_i d_j) is the array shifted by k along axes i and j, times
+(w^k / k!) (a)_k (b)_k with the falling factorials (a)_k = a!/(a-k)!.  The
+star product runs it on the tensor f(x) g(y) and sums that tensor into
+(a1 + b1, a2 + b2) to set y = x (`_contract`).
 
-The coefficients stay in the monomial basis, where the falling factorials
-are exact integers.  Rescaled by a! (a Taylor basis, in which d_i is a
-plain shift) they pass 2^53, and (x1 + x2)^10 *_Voros (x1 - x2)^10 then
-shows monomials that the exact series cancels.  A dense box costs its
-whole size even for sparse operands; `_check_box` bounds it.
+The falling factorials are integers, exact below 2^53, that meet w^k / k!
+only in the scale, so all terms of one power k share its rounding and
+cancel where the exact series cancels.  A Taylor basis (coefficients
+times a!) or a scale built as one running product over k rounds each
+monomial apart, and (x1 + x2)^10 *_Voros (x1 - x2)^10 then shows
+monomials the series does not have.  A dense box costs its whole size
+even for sparse operands; `_outer` bounds the star tensor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -39,37 +41,11 @@ from .errors import FrameMismatchError, ValidationError
 #: operation so that the arrays stay canonical
 PRUNE_TOL = 1e-14
 
-#: the most coefficients one array may hold, star tensors included (32
-#: MiB), and the highest degree in one variable.  The kernel multiplies
-#: w^k / k! by two falling factorials of up to 93! each; (93!)^2 times the
-#: smallest normal double is below 2^-53, so a w^k / k! that underflows
-#: drops nothing that rounding would not (at degree 127 it drops whole
-#: coefficients)
-_MAX_COEFFICIENTS = 1 << 21
-_MAX_DEGREE = 93
-
-
-def _falling_table(n: int) -> np.ndarray:
-    """F[a, k] = a! / (a - k)! for a, k < n; 0 where k > a."""
-    a = np.arange(n, dtype=float)
-    steps = np.subtract.outer(a + 1.0, a)  # column k >= 1 holds a - k + 1
-    steps[:, 0] = 1.0
-    return np.cumprod(steps, axis=1)
-
-
-#: the falling factorials of every exponent a polynomial may hold
-_FALLING = _falling_table(_MAX_DEGREE + 1)
-_FALLING.flags.writeable = False
+#: the most entries a star-product tensor f(x) g(y) may hold: 64 MiB of
+#: complex doubles, of which the kernel keeps about four alive at once
+_MAX_TENSOR = 1 << 22
 
 _VARIABLES = {"x1": (CARTESIAN, 0), "x2": (CARTESIAN, 1), "z": (COMPLEX, 0), "zbar": (COMPLEX, 1)}
-
-
-def _check_box(shape) -> tuple:
-    """shape, once an array of it is within the dense limits."""
-    if max(shape) > _MAX_DEGREE + 1 or math.prod(shape) > _MAX_COEFFICIENTS:
-        raise ValidationError(f"a {shape} coefficient array exceeds the dense limits: degree "
-                              f"{_MAX_DEGREE} in each variable, {_MAX_COEFFICIENTS} coefficients")
-    return shape
 
 
 class Polynomial2:
@@ -91,7 +67,7 @@ class Polynomial2:
             if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 0 or n2 < 0:
                 raise ValidationError(f"exponents must be non-negative integers, got {key!r}")
             clean[int(n1), int(n2)] = complex(coeff)
-        c = np.zeros(_check_box(tuple(max(n) + 1 for n in zip(*clean)) or (1, 1)), dtype=complex)
+        c = np.zeros(tuple(max(n) + 1 for n in zip(*clean)) or (1, 1), dtype=complex)
         for key, value in clean.items():
             c[key] = value
         self._store(c, frame)
@@ -113,7 +89,6 @@ class Polynomial2:
         keep = np.abs(c) >= PRUNE_TOL
         n1, n2 = keep.nonzero()
         c = np.where(keep, c, 0j)[: n1[-1] + 1, : n2.max() + 1] if n1.size else np.zeros((1, 1), complex)
-        _check_box(c.shape)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_c", c)
 
@@ -193,8 +168,7 @@ class Polynomial2:
     def __mul__(self, other) -> "Polynomial2":
         if not isinstance(other, Polynomial2):
             return Polynomial2._from_array(self._c * complex(other), self.frame)
-        other = self._coerce(other)
-        return Polynomial2._from_array(_contract(_outer(self._c, other._c)), self.frame)
+        return Polynomial2._from_array(_product(self._c, self._coerce(other)._c), self.frame)
 
     __rmul__ = __mul__
 
@@ -219,7 +193,8 @@ class Polynomial2:
         c = np.moveaxis(self._c, axis, 0)
         if order >= len(c):
             return Polynomial2.zero(self.frame)
-        out = c[order:] * _FALLING[order : len(c), order, None]
+        a = np.arange(order, len(c), dtype=float)[:, None]
+        out = c[order:] * np.prod(a - np.arange(order), axis=1, keepdims=True)  # (a)_order
         return Polynomial2._from_array(np.moveaxis(out, 0, axis), self.frame)
 
     # -- comparison -----------------------------------------------------
@@ -249,44 +224,84 @@ def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ordinary product: b shifted to each nonzero exponent of a,
+    scaled by its coefficient and added; a is the operand with fewer
+    nonzero coefficients."""
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1] + b.shape[1] - 1), dtype=complex)
+    e1, e2 = b.shape
+    for n1, n2 in zip(*np.nonzero(a)):
+        out[n1 : n1 + e1, n2 : n2 + e2] += a[n1, n2] * b
+    return out
+
+
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The tensor a(x) b(y), axes (a1, a2, b1, b2)."""
-    _check_box(a.shape + b.shape)
+    if a.size * b.size > _MAX_TENSOR:
+        raise ValidationError(f"the star product of {a.shape} and {b.shape} coefficient boxes "
+                              f"needs a tensor of more than {_MAX_TENSOR} entries")
     return a[:, :, None, None] * b
+
+
+@functools.lru_cache(maxsize=8)
+def _falling_table(n: int):
+    """(F, E) with F[m, a] 2^E[m] = (a)_m for a, m < n.  Row m is row m - 1
+    times max(a - m + 1, 0) over a power of two above n - m, which rounds
+    nothing and keeps the rows in the double range up to n of about 500.
+    Cached, since building it costs a tenth of a small star product."""
+    m = np.arange(n, dtype=float)
+    e = np.frexp(n - m)[1]
+    e[0] = 0
+    steps = np.maximum(np.subtract.outer(1.0 - m, -m), 0.0)
+    steps[0] = 1.0
+    table = np.cumprod(np.ldexp(steps, -e[:, None]), axis=0), np.cumsum(e)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _exp_operator(c: np.ndarray, weights) -> np.ndarray:
     """exp(B) c for B = sum of w d_i d_j over the (w, i, j) in weights, one
-    term after another; axis n of c holds the exponent of variable n.  A
-    term past the double range leaves an inf or nan, which Polynomial2
-    rejects."""
+    term after another; axis n of c holds the exponent of variable n, and
+    i <= j."""
+    falling, binexp = _falling_table(max(c.shape))
     for w, i, j in weights:
         step = 2 if i == j else 1
         top = (min(c.shape[i], c.shape[j]) - 1) // step  # the last power inside the box
         if w == 0 or top < 1:
             continue
-        coef = [1.0]
-        for k in range(1, top + 1):
-            coef.append(coef[-1] * w / k)
-        # scale[k] = (w^k / k!) (a)_(step k) along axis i, times (b)_k along axis j
-        scale = np.array(coef)[:, None] * _FALLING[: c.shape[i], : step * top + 1 : step].T
+        # scale[k - 1] = (w^k / k!) (a)_(step k) along axis i, times (b)_k
+        # along axis j.  w^k / k! is kept as m 2^shift, and the powers of two
+        # of the falling factorials join shift before m is scaled, so no
+        # factor leaves the double range unless the product does
+        s, m, shift = [], 1.0, 0
+        try:
+            for k in range(1, top + 1):
+                m = m * w / k
+                e = math.frexp(abs(m))[1]
+                m, shift = m / 2.0**e, shift + e
+                e = shift + int(binexp[step * k]) + (int(binexp[k]) if i != j else 0)
+                s.append(complex(math.ldexp(m.real, e), math.ldexp(m.imag, e)))
+        except OverflowError:
+            raise ValidationError("a term of the operator exponential exceeds the double range") from None
+        scale = np.array(s)[:, None] * falling[step : step * top + 1 : step, : c.shape[i]]
+        shape = [top] + [1] * c.ndim
+        shape[1 + i] = c.shape[i]
         if i != j:
-            fj = _FALLING[: c.shape[j], : top + 1].T
-            scale = scale[:, :, None] * fj[:, None, :]
-        scale = scale.reshape(scale.shape + (1,) * (c.ndim - scale.ndim + 1))
-        axes = (i,) if i == j else (i, j)
-        order = axes + tuple(n for n in range(c.ndim) if n not in axes)
-        src = c.transpose(order)
-        out = src.copy()
+            scale = scale[:, :, None] * falling[1 : top + 1, None, : c.shape[j]]
+            shape[1 + j] = c.shape[j]
+        scale = scale.reshape(shape)
+        out = c.copy()
         for k in range(1, top + 1):
-            s = step * k
-            if i == j:
-                view = out[: len(src) - s]
-                view += scale[k, s:] * src[s:]
-            else:
-                view = out[: len(src) - s, : src.shape[1] - s]
-                view += scale[k, s:, s:] * src[s:, s:]
-        c = out.transpose(tuple(order.index(n) for n in range(c.ndim)))
+            src = [slice(None)] * c.ndim
+            dst = [slice(None)] * c.ndim
+            src[i], dst[i] = slice(step * k, None), slice(None, -step * k)
+            src[j], dst[j] = (src[i], dst[i]) if i == j else (slice(k, None), slice(None, -k))
+            src = tuple(src)
+            out[tuple(dst)] += scale[k - 1][src] * c[src]
+        c = out
     return c
 
 

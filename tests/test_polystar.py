@@ -1,5 +1,7 @@
 """Exact polynomial star algebra."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -52,18 +54,22 @@ def test_constructor_rejects_nonfinite_coefficients():
         Polynomial2({(0, 0): float("nan")})
 
 
-def test_dense_limits_raise_validation_error():
-    # past degree 93 in one variable the falling factorials leave the range
-    # where an underflowing w^k / k! is harmless; a sparse operand still
-    # costs its whole box, and the engine refuses before it allocates
-    assert (X1**93).terms == {(93, 0): 1.0 + 0j}
-    with pytest.raises(ValidationError):
-        Polynomial2({(94, 0): 1.0})
-    with pytest.raises(ValidationError):
-        X1**94
-    big = Polynomial2({(90, 90): 1.0})
+def test_high_degree_operands_are_not_refused():
+    # a dense box costs its whole size, but no degree is refused for it
+    assert (X1**94 + 1).terms == {(94, 0): 1.0 + 0j, (0, 0): 1.0 + 0j}
+    assert Polynomial2({(94, 0): 1.0}) == X1**94
+    # (x1^2 - x2^2)^40, to the rounding of the sums that cancel in it
+    exact = Polynomial2({(2 * j, 80 - 2 * j): (-1) ** j * math.comb(40, j) for j in range(41)})
+    assert ((X1 + X2) ** 40 * (X1 - X2) ** 40).max_diff(exact) < 1e-15 * math.comb(80, 40)
+    assert abs((X1**150).derivative(0, 140).coefficient(10, 0) / math.perm(150, 140) - 1) < 1e-13
+
+
+def test_star_tensor_limit_raises_validation_error():
+    big = Polynomial2({(45, 45): 1.0})  # a star tensor of 46^4 > 2^22 entries
     with pytest.raises(ValidationError):
         star_poly(big, big, make_params(1.0))
+    with pytest.raises(ValidationError):
+        star_commutator(big, big, make_params(1.0))
 
 
 def test_zero_polynomial_has_empty_terms():
@@ -449,6 +455,28 @@ def test_array_tier_matches_dict_oracle(data, frame, params):
         s = 1 / np.sqrt(2 * t)
         sub = ({(1, 0): s, (0, 1): 1j * s}, {(1, 0): s, (0, 1): -1j * s})
         _assert_matches(to_cartesian_frame(f, t), _dict_substitute(fd, *sub), CARTESIAN)
+
+
+def _assert_each_matches(got: Polynomial2, want: dict):
+    # every coefficient of want at or above PRUNE_TOL, each to 1e-13 of itself
+    want = {key: c for key, c in want.items() if abs(c) >= PRUNE_TOL}
+    mine = got.terms
+    assert set(mine) == set(want)
+    for key, c in want.items():
+        assert abs(mine[key] - c) <= 1e-13 * abs(c), key
+
+
+def test_high_degree_series_keep_every_coefficient():
+    # at theta = 0.02, w^k / k! falls below the double range well before
+    # k = 127 while (127)_k^2 passes 10^400, and (200)_2k reaches
+    # 200! > 10^374 in T; their products are in range and must survive
+    params = make_params(0.02)
+    want = _dict_star({(127, 0): 1 + 0j}, {(0, 127): 1 + 0j}, *star_kernel(CARTESIAN, params))
+    _assert_each_matches(star_poly(X1**127, X2**127, params), want)
+    params = make_params(0.5, 0.01, -0.02, 0.03)
+    weights = ((0.25j * params.phi11, 0, 0), (0.5j * params.phi12, 0, 1), (0.25j * params.phi22, 1, 1))
+    want = _dict_exp_operator({(200, 3): 1 + 0j}, weights)
+    _assert_each_matches(tmap_poly(X1**200 * X2**3, params), want)
 
 
 # -- deformed coordinate operators ---------------------------------------
