@@ -14,7 +14,7 @@ from ..deformation import DeformationParams
 from ..errors import EngineError
 from ..polystar import CARTESIAN, Polynomial2, star_poly
 from ..wavestar import WaveSum, star_wave
-from .parser import Add, Exp, Expression, Mul, Neg, Node, Num, Pow, Star, Sub, Var
+from .parser import Binary, Exp, Expression, Neg, Node, Num, Pow, Var
 
 Value = complex | Polynomial2 | WaveSum
 
@@ -107,17 +107,16 @@ def _eval(node: Node, params: DeformationParams) -> Value:
         return Polynomial2.variable(node.name)
     if isinstance(node, Neg):
         return -_eval(node.arg, params)
-    if isinstance(node, Add):
-        return _add(_eval(node.left, params), _eval(node.right, params))
-    if isinstance(node, Sub):
-        right = -_eval(node.right, params)
-        return _add(_eval(node.left, params), right)
-    if isinstance(node, Mul):
-        return _mul(_eval(node.left, params), _eval(node.right, params))
+    if isinstance(node, Binary):
+        if node.op == "-":  # -right first: on two bad operands, the right one reports
+            right = -_eval(node.right, params)
+            return _add(_eval(node.left, params), right)
+        left, right = _eval(node.left, params), _eval(node.right, params)
+        if node.op == "**":
+            return _star(left, right, params)
+        return _add(left, right) if node.op == "+" else _mul(left, right)
     if isinstance(node, Pow):
         return _pow(_eval(node.base, params), node.exponent)
-    if isinstance(node, Star):
-        return _star(_eval(node.left, params), _eval(node.right, params), params)
     if isinstance(node, Exp):
         return _exp_value(_eval(node.arg, params))
     raise TypeError(f"not an AST node: {node!r}")

@@ -2,20 +2,23 @@
 
 Grammar (loosest to tightest binding):
 
-    expr    := star (('+' | '-') star)*
-    star    := product ('**' product)*          # '**' is the star product
-    product := factor ('*' factor)*
-    factor  := '-' factor | power
-    power   := atom ('^' UINT)?
-    atom    := NUMBER | 'i' | VAR | 'exp' '(' expr ')' | '(' expr ')'
+    binary(p) := binary(p+1) (OP(p) binary(p+1))*   # OP(p): _BINARY's ops of precedence p
+    binary(4) := factor                             # 4: one past the tightest precedence
+    factor    := '-' factor | power
+    power     := atom ('^' UINT)?
+    atom      := NUMBER | 'i' | VAR | 'exp' '(' binary(1) ')' | '(' binary(1) ')'
 
-Numbers take an optional 'i' suffix (2, 1.5, 2i, 1.5e-3i); variables are
-x1/x2 (cartesian frame) or z/zbar (complex frame) and the two frames may
-not mix.  'exp' arguments must be affine in the variables.
+_BINARY is the one place where the binary operators' precedence and printed
+spelling live: '+' and '-' bind loosest, then the star product '**', then
+'*'; all are left-associative.  Numbers take an optional 'i' suffix (2,
+1.5, 2i, 1.5e-3i) and must be finite; variables are x1/x2 (cartesian
+frame) or z/zbar (complex frame) and the two frames may not mix.  'exp'
+arguments must be affine in the variables.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 
@@ -24,8 +27,16 @@ from ..errors import EngineError
 VARIABLES = ("x1", "x2", "z", "zbar")
 _FRAME_OF = {"x1": "cartesian", "x2": "cartesian", "z": "complex", "zbar": "complex"}
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+#: the grammar's binary operators: op -> (precedence, printed spelling); a
+#: higher precedence binds tighter, and every operator is left-associative
+_BINARY = {"+": (1, " + "), "-": (1, " - "), "**": (2, " ** "), "*": (3, "*")}
+_TIGHTEST = max(prec for prec, _ in _BINARY.values())
+
+#: one alternative per token, tried in order; the group name is the kind
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>\s)|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*^()])"
+)
 
 
 class ParseError(EngineError):
@@ -50,55 +61,26 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            if word.endswith("i"):
-                value = complex(0.0, float(word[:-1]))
-            else:
-                value = complex(float(word), 0.0)
-            tokens.append(Token("number", word, value, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            tokens.append(Token("name", word, None, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        if text.startswith("**", i):
-            tokens.append(Token("op", "**", None, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*^()":
-            tokens.append(Token("op", ch, None, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}",
-            line,
-            col,
-            expected=("number", "variable", "operator", "'('"),
-        )
-    tokens.append(Token("end", "", None, line, col))
+    line, line_start, i = 1, 0, 0
+    while i < len(text):
+        m = _TOKEN_RE.match(text, i)
+        col = i - line_start + 1
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[i]!r}",
+                line,
+                col,
+                expected=("number", "variable", "operator", "'('"),
+            )
+        kind, word, i = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, i
+        elif kind == "number":
+            value = complex(0.0, float(word[:-1])) if word.endswith("i") else complex(float(word))
+            tokens.append(Token(kind, word, value, line, col))
+        elif kind != "space":
+            tokens.append(Token(kind, word, None, line, col))
+    tokens.append(Token("end", "", None, line, i - line_start + 1))
     return tokens
 
 
@@ -133,21 +115,8 @@ class Neg(Node):
 
 
 @dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-    pos: tuple[int, int] = _pos_field()
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
-    pos: tuple[int, int] = _pos_field()
-
-
-@dataclass(frozen=True)
-class Mul(Node):
+class Binary(Node):
+    op: str  # a key of _BINARY
     left: Node
     right: Node
     pos: tuple[int, int] = _pos_field()
@@ -157,13 +126,6 @@ class Mul(Node):
 class Pow(Node):
     base: Node
     exponent: int
-    pos: tuple[int, int] = _pos_field()
-
-
-@dataclass(frozen=True)
-class Star(Node):
-    left: Node
-    right: Node
     pos: tuple[int, int] = _pos_field()
 
 
@@ -204,32 +166,20 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column, expected)
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.binary()
         if self.cur.kind != "end":
             self.fail(f"unexpected trailing input {self.cur.text!r}", ("end of input", "operator"))
         return node
 
-    def expr(self) -> Node:
-        node = self.star()
-        while self.at_op("+", "-"):
+    def binary(self, prec: int = 1) -> Node:
+        """A left-associative chain of the _BINARY operators of precedence
+        prec; its operands are the next level's chains, or factors."""
+        tighter = prec < _TIGHTEST
+        node = self.binary(prec + 1) if tighter else self.factor()
+        while _BINARY.get(self.cur.text, (None,))[0] == prec:
             op = self.advance()
-            right = self.star()
-            cls = Add if op.text == "+" else Sub
-            node = cls(node, right, pos=(op.line, op.column))
-        return node
-
-    def star(self) -> Node:
-        node = self.product()
-        while self.at_op("**"):
-            op = self.advance()
-            node = Star(node, self.product(), pos=(op.line, op.column))
-        return node
-
-    def product(self) -> Node:
-        node = self.factor()
-        while self.at_op("*"):
-            op = self.advance()
-            node = Mul(node, self.factor(), pos=(op.line, op.column))
+            right = self.binary(prec + 1) if tighter else self.factor()
+            node = Binary(op.text, node, right, pos=(op.line, op.column))
         return node
 
     def factor(self) -> Node:
@@ -255,6 +205,8 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.cur
         if tok.kind == "number":
+            if not cmath.isfinite(tok.value):
+                self.fail("number literal must be finite", ("finite number",))
             self.advance()
             return Num(tok.value, pos=(tok.line, tok.column))
         if tok.kind == "name":
@@ -267,7 +219,7 @@ class _Parser:
                 if not self.at_op("("):
                     self.fail("exp must be called as exp(...)", ("'('",))
                 self.advance()
-                arg = self.expr()
+                arg = self.binary()
                 if not self.at_op(")"):
                     self.fail("unclosed exp(", ("')'",))
                 self.advance()
@@ -280,7 +232,7 @@ class _Parser:
             )
         if self.at_op("("):
             self.advance()
-            node = self.expr()
+            node = self.binary()
             if not self.at_op(")"):
                 self.fail("unclosed parenthesis", ("')'",))
             self.advance()
@@ -326,13 +278,12 @@ def _affine_degree(node: Node) -> int:
         return 1
     if isinstance(node, Neg):
         return _affine_degree(node.arg)
-    if isinstance(node, (Add, Sub)):
-        return max(_affine_degree(node.left), _affine_degree(node.right))
-    if isinstance(node, Mul):
-        return _affine_degree(node.left) + _affine_degree(node.right)
+    if isinstance(node, Binary) and node.op != "**":
+        left, right = _affine_degree(node.left), _affine_degree(node.right)
+        return left + right if node.op == "*" else max(left, right)
     if isinstance(node, Pow):
         return _affine_degree(node.base) * node.exponent
-    return -1  # Star or Exp: not allowed inside exp at all
+    return -1  # '**' or exp: not allowed inside exp at all
 
 
 def _validate_exp_args(root: Node):
@@ -366,7 +317,7 @@ def parse_expression(text: str) -> Expression:
 
 # -- pretty printer ----------------------------------------------------------
 
-_PREC_ADD, _PREC_STAR, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5, 6
+_PREC_NEG, _PREC_POW, _PREC_ATOM = _TIGHTEST + 1, _TIGHTEST + 2, _TIGHTEST + 3
 
 
 def format_complex(value: complex) -> str:
@@ -401,18 +352,9 @@ def pretty(node: Node, ctx_prec: int = 0) -> str:
         s, prec = node.name, _PREC_ATOM
     elif isinstance(node, Neg):
         s, prec = "-" + pretty(node.arg, _PREC_NEG), _PREC_NEG
-    elif isinstance(node, Add):
-        s = f"{pretty(node.left, _PREC_ADD)} + {pretty(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Sub):
-        s = f"{pretty(node.left, _PREC_ADD)} - {pretty(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Star):
-        s = f"{pretty(node.left, _PREC_STAR)} ** {pretty(node.right, _PREC_STAR + 1)}"
-        prec = _PREC_STAR
-    elif isinstance(node, Mul):
-        s = f"{pretty(node.left, _PREC_MUL)}*{pretty(node.right, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
+    elif isinstance(node, Binary):
+        prec, spelling = _BINARY[node.op]
+        s = pretty(node.left, prec) + spelling + pretty(node.right, prec + 1)
     elif isinstance(node, Pow):
         s = f"{pretty(node.base, _PREC_ATOM)}^{node.exponent}"
         prec = _PREC_POW

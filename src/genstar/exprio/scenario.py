@@ -316,7 +316,7 @@ def _run_fock_check(task: Task, scenario: Scenario) -> dict:
         task.prepared["z"], task.prepared["p"], scenario.params.theta, task.prepared["n"]
     )
     tol = task.prepared["tol"]
-    ok = comp.abs_error < tol
+    ok = comp.abs_error <= tol
     return dict(
         outputs={
             "numeric": [comp.numeric.real, comp.numeric.imag],

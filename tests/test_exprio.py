@@ -32,6 +32,7 @@ from genstar.exprio import (
     parse_scenario,
     pretty,
     run_scenario,
+    tokenize,
 )
 from genstar.exprio.cli import main
 from genstar.exprio.report import CSV_HEADER
@@ -137,11 +138,9 @@ def test_value_survives_format_cycle(text):
 def test_star_binds_between_add_and_mul():
     e = parse_expression("x1 + x2 ** x1*x2")
     # parsed as x1 + (x2 ** (x1*x2))
-    from genstar.exprio.parser import Add, Mul, Star
-
-    assert isinstance(e.root, Add)
-    assert isinstance(e.root.right, Star)
-    assert isinstance(e.root.right.right, Mul)
+    assert e.root.op == "+"
+    assert e.root.right.op == "**"
+    assert e.root.right.right.op == "*"
 
 
 def test_eval_star_polynomials():
@@ -195,6 +194,126 @@ def test_diagnostics_carry_position_and_expectations(bad):
     assert err.value.line >= 1
     assert err.value.column >= 1
     assert len(err.value.expected) >= 1
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("x1 +\n  x2 )", 2, 6, "unexpected trailing input ')'"),
+        ("exp(x1", 1, 7, "unclosed exp("),
+    ],
+)
+def test_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(message + " at line")
+
+
+@pytest.mark.parametrize("text, column", [("2 + 7e400", 5), ("x1*1e400", 4), ("x2 -\n 1e999i", 2)])
+def test_nonfinite_literal_is_a_parse_error_at_the_literal(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+    assert str(err.value).startswith("number literal must be finite")
+
+
+def test_cli_eval_nonfinite_literal_warns_nothing():
+    proc = subprocess.run(
+        [sys.executable, "-m", "genstar", "eval", "x1*1e400"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: number literal must be finite at line 1, column 4")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def _reference_tokenize(text: str) -> list:
+    """The character-loop tokenizer that the one-pattern tokenizer replaced,
+    kept as its oracle."""
+    from genstar.exprio.parser import Token
+
+    number_re = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?")
+    name_re = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        m = number_re.match(text, i)
+        if m:
+            word = m.group(0)
+            if word.endswith("i"):
+                value = complex(0.0, float(word[:-1]))
+            else:
+                value = complex(float(word), 0.0)
+            tokens.append(Token("number", word, value, line, col))
+            i = m.end()
+            col += len(word)
+            continue
+        m = name_re.match(text, i)
+        if m:
+            word = m.group(0)
+            tokens.append(Token("name", word, None, line, col))
+            i = m.end()
+            col += len(word)
+            continue
+        if text.startswith("**", i):
+            tokens.append(Token("op", "**", None, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "+-*^()":
+            tokens.append(Token("op", ch, None, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(
+            f"unexpected character {ch!r}",
+            line,
+            col,
+            expected=("number", "variable", "operator", "'('"),
+        )
+    tokens.append(Token("end", "", None, line, col))
+    return tokens
+
+
+#: pieces of grammar text, unusual whitespace and digits, and garbage
+_FRAGMENTS = st.sampled_from(
+    ["x1", "x2", "z", "zbar", "i", "exp", "(", ")", "+", "-", "*", "**", "^", "2", "1.5", ".5",
+     "7.", "1e3", "2.5e-3i", "1e", "1.e+", "e5", "_q9", " ", "  ", "\t", "\r", "\n", "\r\n",
+     "\xa0", "\x1c", " ", " ", "٣", "١.٥", "१", "１", "@", "é",
+     "$", "\x00", "1e400", "9i"]
+)
+_TOKENIZER_TEXT = st.one_of(
+    st.lists(st.one_of(_FRAGMENTS, st.text(max_size=2)), max_size=16).map("".join),
+    st.text(max_size=12),
+)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column, exc.expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_TOKENIZER_TEXT)
+def test_tokenize_matches_the_character_loop_oracle(text):
+    assert _outcome(tokenize, text) == _outcome(_reference_tokenize, text)
 
 
 def test_complex_literal_parsing():
@@ -369,6 +488,47 @@ def test_commutator_and_tmap_tasks():
     report = run_scenario(s)
     assert report.tasks[0].outputs["result"] == "i"
     assert report.tasks[1].outputs["result"] == "x1^2"  # Phi = 0 leaves polynomials alone
+
+
+def test_fock_check_passes_at_a_tolerance_equal_to_its_error():
+    # the verdict rule of every other check: pass on error <= tol
+    error = run_scenario(parse_scenario("task fock-check")).tasks[0].max_error
+    report = run_scenario(parse_scenario(f"task fock-check tol={error!r}"))
+    assert report.tasks[0].max_error == error
+    assert report.tasks[0].verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "task, outputs",
+    [
+        ('equivalence f="x1^2 + x2" g="x1*x2"', {"residual": 0.0, "tolerance": 1e-10}),
+        ('tmap expr="2"', {"result": "2"}),
+        ('tmap expr="exp(i*x1)"', {"result": "0.7788007830714049*exp(i*x1)"}),
+        ('commutator f="2" g="x1"', {"result": "0"}),
+        ('eval expr="2 + exp(i*x1)"', {"result": "2 + exp(i*x1)", "value_kind": "wave"}),
+        ('eval expr="2 ** 3i"', {"result": "6i", "value_kind": "scalar"}),
+    ],
+)
+def test_voros_tasks_on_constants_and_mixed_operands(task, outputs):
+    report = run_scenario(parse_scenario(f"preset = voros\ntask {task}\n"))
+    assert report.tasks[0].verdict == "pass"
+    assert report.tasks[0].outputs == outputs
+
+
+@pytest.mark.parametrize(
+    "task, error",
+    [
+        ('equivalence f="x1" g="exp(i*x1)"', "equivalence needs two polynomials or two exponential sums"),
+        ('eval expr="x1 + exp(i*x1)"', "cannot add a polynomial and an exponential sum"),
+        # '-' evaluates its right operand first; '+' its left operand first
+        ('eval expr="exp(1000) - (x1 + exp(i*x1))"', "cannot add a polynomial and an exponential sum"),
+        ('eval expr="exp(1000) + (x1 + exp(i*x1))"', "numeric overflow: math range error"),
+    ],
+)
+def test_voros_task_errors(task, error):
+    report = run_scenario(parse_scenario(f"preset = voros\ntask {task}\n"))
+    assert report.tasks[0].verdict == "error"
+    assert report.tasks[0].outputs == {"error": error}
 
 
 # -- reports ------------------------------------------------------------------
