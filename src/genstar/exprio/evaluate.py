@@ -85,7 +85,10 @@ def _star(a: Value, b: Value, params: DeformationParams) -> Value:
 
 def _exp_value(arg: Value) -> Value:
     if isinstance(arg, complex):
-        return cmath.exp(arg)
+        try:
+            return cmath.exp(arg)
+        except ValueError as exc:  # an infinite imaginary part
+            raise EvaluationError(f"numeric overflow: exp({arg!r}) is not defined") from exc
     if not isinstance(arg, Polynomial2):
         raise EvaluationError("exp argument must be affine in the variables")
     if arg.total_degree() > 1:
@@ -127,7 +130,8 @@ def evaluate_expression(expr: Expression, params: DeformationParams) -> Value:
 
     The star operator dispatches to star_poly or star_wave; constants
     absorb trivially on either side.  A scalar result that is not finite,
-    or a float overflow on the way (exp, powers), raises EvaluationError;
+    a float overflow on the way (exp, powers) or a tree nested deeper than
+    the interpreter recurses raises EvaluationError;
     polynomials and exponential sums reject non-finite coefficients
     themselves.
     """
@@ -135,6 +139,8 @@ def evaluate_expression(expr: Expression, params: DeformationParams) -> Value:
         value = _eval(expr.root, params)
     except OverflowError as exc:
         raise EvaluationError(f"numeric overflow: {exc}") from exc
+    except RecursionError as exc:
+        raise EvaluationError("expression nests too deeply to evaluate") from exc
     if isinstance(value, complex) and not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise EvaluationError(f"the expression evaluates to a non-finite scalar {value!r}")
     return value

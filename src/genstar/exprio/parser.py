@@ -12,13 +12,27 @@ _BINARY is the one place where the binary operators' precedence and printed
 spelling live: '+' and '-' bind loosest, then the star product '**', then
 '*'; all are left-associative.  Numbers take an optional 'i' suffix (2,
 1.5, 2i, 1.5e-3i) and must be finite; variables are x1/x2 (cartesian
-frame) or z/zbar (complex frame) and the two frames may not mix.  'exp'
-arguments must be affine in the variables.
+frame) or z/zbar (complex frame) and the two frames may not mix.
+
+An 'exp' argument must be affine in the variables: its degree is at most 1.
+A number or 'i' has degree 0 and a variable 1; unary '-' keeps its operand's
+degree, '+' and '-' take the larger, '*' and '**' add the two (a star
+product never exceeds the sum of its operands' degrees), '^n' multiplies by
+n and '^0' gives 0.  exp(a) is a number, of degree 0, when a holds no
+variable, and otherwise an exponential sum, which has no degree.  So
+exp(x1 ** 2) is exp(2*x1), exp(exp(1) + x1) is fine, and exp(exp(x1) + x1)
+is refused.
+
+Errors: a syntax error is raised where it is met; over-deep nesting is one
+("expression nests too deeply").  Only once the whole text has parsed come
+the first variable whose frame differs from the first variable's, then the
+first non-affine 'exp' in the text.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -145,9 +159,14 @@ class Expression:
 
 
 class _Parser:
+    """Builds the tree and each subtree's degree in the variables, with
+    math.inf for an exponential sum, which has none."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        self.variables: list[Token] = []  # every variable read so far, in text order
+        self.bad_exps: list[tuple[int, int]] = []  # positions of non-affine exps
 
     @property
     def cur(self) -> Token:
@@ -166,32 +185,49 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column, expected)
 
     def parse(self) -> Node:
-        node = self.binary()
+        node, _ = self.binary()
         if self.cur.kind != "end":
             self.fail(f"unexpected trailing input {self.cur.text!r}", ("end of input", "operator"))
+        self.frame = _FRAME_OF[self.variables[0].text] if self.variables else None
+        for var in self.variables:
+            if _FRAME_OF[var.text] != self.frame:
+                raise ParseError(
+                    f"variable {var.text!r} mixes frames (expression already uses "
+                    f"{self.frame} variables)",
+                    var.line, var.column,
+                    expected=("x1", "x2") if self.frame == "cartesian" else ("z", "zbar"),
+                )
+        if self.bad_exps:  # nested exps complete innermost first: report the first in the text
+            raise ParseError(
+                "exp argument must be affine in the variables",
+                *min(self.bad_exps),
+                expected=("affine expression in the variables",),
+            )
         return node
 
-    def binary(self, prec: int = 1) -> Node:
+    def binary(self, prec: int = 1) -> tuple[Node, float]:
         """A left-associative chain of the _BINARY operators of precedence
         prec; its operands are the next level's chains, or factors."""
         tighter = prec < _TIGHTEST
-        node = self.binary(prec + 1) if tighter else self.factor()
+        node, deg = self.binary(prec + 1) if tighter else self.factor()
         while _BINARY.get(self.cur.text, (None,))[0] == prec:
             op = self.advance()
-            right = self.binary(prec + 1) if tighter else self.factor()
+            right, right_deg = self.binary(prec + 1) if tighter else self.factor()
             node = Binary(op.text, node, right, pos=(op.line, op.column))
-        return node
+            deg = max(deg, right_deg) if op.text in ("+", "-") else deg + right_deg
+        return node, deg
 
-    def factor(self) -> Node:
+    def factor(self) -> tuple[Node, float]:
         if self.at_op("-"):
             op = self.advance()
-            return Neg(self.factor(), pos=(op.line, op.column))
+            arg, deg = self.factor()
+            return Neg(arg, pos=(op.line, op.column)), deg
         return self.power()
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self) -> tuple[Node, float]:
+        base, deg = self.atom()
         if not self.at_op("^"):
-            return base
+            return base, deg
         op = self.advance()
         tok = self.cur
         if tok.kind != "number" or tok.value.imag != 0.0 or not tok.value.real.is_integer():
@@ -200,36 +236,37 @@ class _Parser:
                 ("non-negative integer",),
             )
         self.advance()
-        return Pow(base, int(tok.value.real), pos=(op.line, op.column))
+        n = int(tok.value.real)
+        return Pow(base, n, pos=(op.line, op.column)), deg * n if n else 0
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, float]:
         tok = self.cur
+        pos = (tok.line, tok.column)
         if tok.kind == "number":
             if not cmath.isfinite(tok.value):
                 self.fail("number literal must be finite", ("finite number",))
             self.advance()
-            return Num(tok.value, pos=(tok.line, tok.column))
+            return Num(tok.value, pos=pos), 0
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":
-                return Num(1j, pos=(tok.line, tok.column))
+                return Num(1j, pos=pos), 0
             if tok.text in VARIABLES:
-                return Var(tok.text, pos=(tok.line, tok.column))
+                self.variables.append(tok)
+                return Var(tok.text, pos=pos), 1
             if tok.text == "exp":
                 if not self.at_op("("):
                     self.fail("exp must be called as exp(...)", ("'('",))
                 self.advance()
-                arg = self.binary()
+                seen = len(self.variables)
+                arg, deg = self.binary()
                 if not self.at_op(")"):
                     self.fail("unclosed exp(", ("')'",))
                 self.advance()
-                return Exp(arg, pos=(tok.line, tok.column))
-            raise ParseError(
-                f"unknown name {tok.text!r}",
-                tok.line,
-                tok.column,
-                expected=VARIABLES + ("i", "exp"),
-            )
+                if deg > 1:
+                    self.bad_exps.append(pos)
+                return Exp(arg, pos=pos), 0 if len(self.variables) == seen else math.inf
+            raise ParseError(f"unknown name {tok.text!r}", *pos, expected=VARIABLES + ("i", "exp"))
         if self.at_op("("):
             self.advance()
             node = self.binary()
@@ -243,76 +280,15 @@ class _Parser:
         )
 
 
-def _walk(node: Node):
-    yield node
-    for name in ("arg", "left", "right", "base"):
-        child = getattr(node, name, None)
-        if isinstance(child, Node):
-            yield from _walk(child)
-
-
-def _infer_frame(root: Node) -> str | None:
-    frame = None
-    for node in _walk(root):
-        if isinstance(node, Var):
-            f = _FRAME_OF[node.name]
-            if frame is None:
-                frame = f
-            elif frame != f:
-                raise ParseError(
-                    f"variable {node.name!r} mixes frames (expression already uses "
-                    f"{frame} variables)",
-                    node.pos[0],
-                    node.pos[1],
-                    expected=("x1", "x2") if frame == "cartesian" else ("z", "zbar"),
-                )
-    return frame
-
-
-def _affine_degree(node: Node) -> int:
-    """Total degree of a star-free, exp-free subtree; used to validate
-    exp arguments."""
-    if isinstance(node, Num):
-        return 0
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Neg):
-        return _affine_degree(node.arg)
-    if isinstance(node, Binary) and node.op != "**":
-        left, right = _affine_degree(node.left), _affine_degree(node.right)
-        return left + right if node.op == "*" else max(left, right)
-    if isinstance(node, Pow):
-        return _affine_degree(node.base) * node.exponent
-    return -1  # '**' or exp: not allowed inside exp at all
-
-
-def _validate_exp_args(root: Node):
-    for node in _walk(root):
-        if isinstance(node, Exp):
-            deg = _affine_degree(node.arg)
-            if deg < 0:
-                raise ParseError(
-                    "exp arguments may not contain exp or the star operator",
-                    node.pos[0],
-                    node.pos[1],
-                    expected=("affine expression in the variables",),
-                )
-            if deg > 1:
-                raise ParseError(
-                    "exp argument must be affine in the variables",
-                    node.pos[0],
-                    node.pos[1],
-                    expected=("affine expression in the variables",),
-                )
-
-
 def parse_expression(text: str) -> Expression:
     """Parse text into an Expression; raises ParseError with line/column
     and an expected-token set on any syntax or validation failure."""
-    root = _Parser(tokenize(text)).parse()
-    frame = _infer_frame(root)
-    _validate_exp_args(root)
-    return Expression(root=root, frame=frame, text=text)
+    parser = _Parser(tokenize(text))
+    try:
+        root = parser.parse()
+    except RecursionError:
+        parser.fail("expression nests too deeply", ("less nesting",))
+    return Expression(root=root, frame=parser.frame, text=text)
 
 
 # -- pretty printer ----------------------------------------------------------

@@ -235,7 +235,7 @@ def star_wave(f: WaveSum, g: WaveSum, params: DeformationParams) -> WaveSum:
             phase = k11 * d1 * e1 + k12 * d1 * e2 + k21 * d2 * e1 + k22 * d2 * e2
             try:
                 factor = cmath.exp(phase)
-            except OverflowError as exc:
+            except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
                 raise ValidationError(
                     f"star_wave: the pair factor exp({phase:.6g}) overflows"
                 ) from exc

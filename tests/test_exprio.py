@@ -7,16 +7,17 @@ import io
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genstar import Polynomial2, WaveSum, make_params, preset_params
+from genstar import EngineError, Polynomial2, WaveSum, make_params, preset_params
 from genstar.exprio import (
     ParseError,
     Report,
@@ -830,7 +831,17 @@ def test_huge_momenta_and_z_are_error_reports(tmp_path, capsys, argv, scenario):
 
 
 @pytest.mark.parametrize(
-    "expr", ["1e200*1e200", "1e300*1e300 - 1e300*1e300", "1e400", "exp(1000)", "(1e200)^2", "x1^1e400"]
+    "expr",
+    [
+        "1e200*1e200",
+        "1e300*1e300 - 1e300*1e300",
+        "1e400",
+        "exp(1000)",
+        "(1e200)^2",
+        "x1^1e400",
+        "exp(1e300i*1e200)",
+        "exp(1e300i ** 1e200)",
+    ],
 )
 def test_cli_eval_nonfinite_scalar_is_error(capsys, expr):
     code = main(["eval", expr])
@@ -894,3 +905,185 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1*x2 + 0.5i"
+
+
+# -- the exp rule, over-deep input and the no-traceback contract --------------
+
+AFFINE = "exp argument must be affine in the variables"
+
+
+@pytest.mark.parametrize("text", ["exp(x1 ** x2 + x1)", "exp((x1 ** x2)*x1)", "exp(exp(x1) + x1)"])
+def test_non_affine_exp_argument_is_a_parse_error_at_the_exp(text):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert str(err.value).startswith(AFFINE + " at line")
+
+
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        ("exp(x1 ** 2)", "exp(2*x1)"),
+        ("exp(2 ** 3)", format_value(cmath.exp(6))),  # the star of two constants is their product
+        ("exp(exp(i))", format_value(cmath.exp(cmath.exp(1j)))),
+        ("exp(exp(1) + x1)", format_value(cmath.exp(math.e)) + "*exp(x1)"),
+    ],
+)
+def test_exp_arguments_that_evaluate_affine_parse(text, result):
+    value = evaluate_expression(parse_expression(text), preset_params("voros", 1.0))
+    assert format_value(value) == result
+
+
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("exp(x1*x1) + z )", 16, "unexpected trailing input ')'"),
+        ("exp(x1*x1) + z", 14, "variable 'z' mixes frames"),
+        ("exp(exp(x1)) + exp(x1*x1)", 1, AFFINE),
+    ],
+)
+def test_syntax_then_frame_then_first_exp_in_the_text(text, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value).startswith(message)
+
+
+def _expressions(leaves):
+    """Grammar trees as text over the given leaf texts; an exponent is
+    followed by a space so that no literal after it joins the integer (see
+    _FRAGMENTS)."""
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from([" + ", " - ", "*", " ** "]), sub).map("".join),
+            sub.map(lambda s: "-" + s),
+            st.tuples(sub, st.sampled_from("0123")).map(lambda t: f"({t[0]})^{t[1]} "),
+            sub.map(lambda s: f"exp({s})"),
+            sub.map(lambda s: f"({s})"),
+        )
+
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=8)
+
+
+_FRAME_VARIABLES = st.sampled_from([["x1", "x2"], ["z", "zbar"]])
+_RULE_TEXT = _FRAME_VARIABLES.flatmap(lambda v: _expressions([*v, "i", "0", "1", "2", "0.5i"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_RULE_TEXT)
+def test_a_parsed_expression_never_fails_evaluation_on_the_exp_rule(text):
+    try:
+        expr = parse_expression(text)
+    except ParseError:
+        return
+    for params in (preset_params("voros", 1.0), make_params(0.7, 0.3 + 0.2j, -0.1j, 0.5)):
+        try:
+            evaluate_expression(expr, params)
+        except EngineError as exc:
+            assert AFFINE not in str(exc)
+
+
+_DEEP_PARENS = "(" * 200 + "x1" + ")" * 200
+_DEEP_MINUS = "-" * 995 + "x1"
+_LONG_SUM = "+".join(["x1"] * 1000)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_DEEP_PARENS, "expression nests too deeply at line 1"),
+        (_DEEP_MINUS, "expression nests too deeply at line 1"),
+        (_LONG_SUM, "expression nests too deeply to evaluate"),
+    ],
+    ids=["parentheses", "minus-signs", "long-sum"],
+)
+def test_cli_eval_over_deep_input_is_error(capsys, text, message):
+    assert main(["eval", "--", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message)
+
+
+def test_cli_eval_over_deep_input_prints_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "genstar", "eval", "--", _DEEP_MINUS],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: expression nests too deeply at line 1")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "position", "--grid=-1e300:1e300:2", "--phi12", "1", "--format", "text"],
+        ["eval", "exp(1e200i*x1) ** exp(1e200i*x1)", "--phi11", "1"],
+    ],
+)
+def test_cli_infinite_star_pair_phase_is_error(capsys, argv):
+    # cmath.exp raises ValueError, not OverflowError, on an infinite imaginary part
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert re.search(r"star_wave: the pair factor exp\(.*\) overflows", captured.out + captured.err)
+
+
+@pytest.mark.parametrize("kind", ["commutator", "equivalence"])
+def test_scenario_infinite_star_pair_phase_is_error_report(kind):
+    text = f'phi12 = 1\ntask {kind} f="exp(1e200i*x1)" g="exp(1e200i*x2)"\n'
+    report = run_scenario(parse_scenario(text))
+    assert report.tasks[0].verdict == "error"
+    assert report.tasks[0].outputs["error"].startswith("star_wave: the pair factor exp(")
+    assert exit_code(report) == 2
+
+
+#: (CLI flags, scenario header) for Moyal, Voros and a generic Phi
+_PARAM_SETS = (
+    (["--preset", "moyal"], "preset = moyal"),
+    (["--preset", "voros"], "preset = voros"),
+    (
+        ["--theta", "0.7", "--phi11=0.3+0.2i", "--phi12=-0.1i", "--phi22=0.5"],
+        "theta = 0.7\nphi11 = 0.3+0.2i\nphi12 = -0.1i\nphi22 = 0.5",
+    ),
+)
+_EXTREMES = ["1e200", "1e300i", "1e-300"]
+_FRAGMENTS = ["x1", "x2", "z", "zbar", "i", "2", "0.5", *_EXTREMES, "exp(", "(", ")", " + ",
+              " - ", "*", " ** ", "-", "^0 ", "^2 ", "^3 "]
+# the exponent fragments end in a space, because a literal right after '^'
+# would make an exponent such as 21e200, and x1^21e200 squares a dense
+# polynomial until memory runs out
+_CONTRACT_TEXT = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=12).map("".join),
+    _FRAME_VARIABLES.flatmap(lambda v: _expressions([*v, "i", "2", *_EXTREMES])),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=_CONTRACT_TEXT,
+    other=_CONTRACT_TEXT,
+    kind=st.sampled_from(["eval", "tmap", "commutator", "equivalence"]),
+)
+@example(text=_DEEP_PARENS, other="x1", kind="eval")
+@example(text=_DEEP_MINUS, other="x1", kind="eval")
+@example(text=_LONG_SUM, other="x1", kind="tmap")
+@example(text="exp(1e200i*x1) ** exp(1e200i*x2)", other="x1", kind="eval")
+@example(text="exp(1e300i ** 1e200)", other="x1", kind="eval")
+@example(text="exp(1e200i*x1)", other="exp(1e200i*x2)", kind="commutator")
+def test_front_end_exits_0_or_2_and_never_raises(contract_dir, text, other, kind):
+    scenario, out = contract_dir / "one.scn", contract_dir / "report.txt"
+    if kind in ("eval", "tmap"):
+        task = f"expr={shlex.quote(text)}"
+    else:
+        task = f"f={shlex.quote(text)} g={shlex.quote(other)}"
+    for flags, header in _PARAM_SETS:
+        assert main(["eval", *flags, "--", text]) in (0, 2)
+        scenario.write_text(f"{header}\ntask {kind} {task}\n", encoding="utf-8")
+        assert main(["run", str(scenario), "--format", "text", "--out", str(out)]) in (0, 2)
