@@ -25,6 +25,10 @@ CARTESIAN = "cartesian"
 COMPLEX = "complex"
 FRAMES = (CARTESIAN, COMPLEX)
 
+#: the most entries an array sized by its input may hold: 64 MiB of complex
+#: doubles.  It bounds the polynomial star tensor and the Fock matrices
+_MAX_TENSOR = 1 << 22
+
 
 def _finite_complex(name: str, value) -> complex:
     try:

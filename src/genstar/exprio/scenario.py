@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .. import __version__
-from ..deformation import DeformationParams, make_params, preset_params
+from ..deformation import _MAX_TENSOR, DeformationParams, make_params, preset_params
 from ..errors import EngineError
 from ..polystar import Polynomial2, poly_equivalence_residual, star_commutator, tmap_poly
 from ..suites import SUITE_NAMES, run_suites
@@ -50,6 +50,9 @@ _PARAM_KEYS = ("theta", *_PHI_KEYS, "preset", "seed", "trials")
 
 #: header keys holding plain numbers, with the type each converts to
 _NUMBER_KEYS = {"theta": float, "seed": int, "trials": int}
+
+#: the largest fock-check n: its N x N matrices stay within the engine's one array bound
+_MAX_FOCK_DIM = math.isqrt(_MAX_TENSOR)
 
 
 class ScenarioError(EngineError):
@@ -153,8 +156,8 @@ def prepare_task(kind: str, options: dict[str, str], line: int) -> Task:
             raise ScenarioError(f"line {line}: task {kind} needs {key}=...")
         where = f"line {line}: task {kind} option {key}"
         prepared[key] = None if text is None else _convert(convert, key, text, where)
-    if kind == "fock-check" and prepared["n"] < 2:
-        raise ScenarioError(f"line {line}: fock-check needs n >= 2")
+    if kind == "fock-check" and not 2 <= prepared["n"] <= _MAX_FOCK_DIM:
+        raise ScenarioError(f"line {line}: fock-check needs n >= 2 and n <= {_MAX_FOCK_DIM}")
     return Task(kind=kind, options=dict(options), prepared=prepared, line=line)
 
 

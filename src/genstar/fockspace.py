@@ -5,6 +5,10 @@ configuration space; here both live at a finite truncation dimension N.
 Operators are compressed to the top-left N x N block, so the ladder
 algebra holds exactly away from the top two levels and every check below
 restricts to interior-supported states.
+
+b is one scaled superdiagonal, so nothing here multiplies or diagonalises
+a dense N x N matrix: the actions shift rows or columns by one level, and
+the momentum state comes from the SVD of an N/2 x N/2 block.
 """
 
 from __future__ import annotations
@@ -15,12 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import DeformationParams, _finite_complex, _positive_theta
+from .deformation import _MAX_TENSOR, DeformationParams, _finite_complex, _positive_theta
 from .errors import DimensionMismatchError, ValidationError
 from .wavestar import coherent_momentum_overlap
 
 #: coherent-state truncation mass beyond the cutoff must stay below this
 COHERENT_TAIL_TOL = 1e-12
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 2:
+        raise ValidationError(f"truncation dimension must be >= 2, got {dim}")
+    if dim * dim > _MAX_TENSOR:
+        raise ValidationError(f"truncation dimension {dim} needs more than {_MAX_TENSOR} matrix entries")
+
+
+def _matrix_of(psi, dim: int) -> np.ndarray:
+    if not isinstance(psi, FockOp):
+        raise TypeError(f"expected FockOp, got {type(psi).__name__}")
+    if psi.dim != dim:
+        raise DimensionMismatchError(f"dim {dim} vs {psi.dim}")
+    return psi.matrix
 
 
 def _as_square(matrix, dim: int) -> np.ndarray:
@@ -50,10 +69,7 @@ class FockOp:
         return FockOp(self.dim, self.matrix.conj().T)
 
     def _check(self, other):
-        if not isinstance(other, FockOp):
-            raise TypeError(f"expected FockOp, got {type(other).__name__}")
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
+        _matrix_of(other, self.dim)
 
     def __matmul__(self, other):
         self._check(other)
@@ -83,6 +99,7 @@ def ladder_ops(dim: int) -> tuple[FockOp, FockOp]:
     At finite truncation [b, bdag] equals the identity except in the last
     diagonal entry, which is 1 - dim.
     """
+    _check_dim(dim)
     b = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
     return FockOp(dim, b), FockOp(dim, b.conj().T)
 
@@ -94,8 +111,7 @@ def coherent_vector(z, dim: int) -> np.ndarray:
     Warns when the truncated tail mass exp(-|z|^2)|z|^(2 dim)/dim! is not
     below 1e-12.
     """
-    if dim < 2:
-        raise ValidationError(f"truncation dimension must be >= 2, got {dim}")
+    _check_dim(dim)
     z = _finite_complex("z", z)
     try:
         r2 = abs(z) ** 2  # below overflow, every component is finite
@@ -133,62 +149,94 @@ def hs_inner(phi: FockOp, psi: FockOp) -> complex:
     return complex(np.vdot(phi.matrix, psi.matrix))
 
 
+def _ladder(m: np.ndarray, lower: complex, upper: complex, right: bool = False) -> np.ndarray:
+    """(lower b + upper bdag) m, or m (lower b + upper bdag) when right: b
+    moves level n + 1 to level n with weight sqrt(n + 1), so each term is m
+    shifted by one row (or column) and scaled."""
+    s = np.sqrt(np.arange(1.0, len(m)))
+    out = np.empty_like(m)
+    if right:  # (m b)[:, n] = sqrt(n) m[:, n - 1], (m bdag)[:, n] = sqrt(n + 1) m[:, n + 1]
+        np.multiply(m[:, :-1], lower * s, out=out[:, 1:])
+        out[:, 0] = 0.0
+        out[:, :-1] += m[:, 1:] * (upper * s)
+    else:  # (b m)[n] = sqrt(n + 1) m[n + 1], (bdag m)[n] = sqrt(n) m[n - 1]
+        np.multiply(m[1:], (lower * s)[:, None], out=out[:-1])
+        out[-1] = 0.0
+        out[1:] += m[:-1] * (upper * s)[:, None]
+    return out
+
+
 @dataclass(frozen=True)
 class QuantumOps:
     """Position/momentum/ladder actions on the quantum Hilbert space.
 
     Every action is a left multiplication or a commutator: X1, X2 and B
-    multiply by x1, x2 and b from the left; P1 psi = (1/theta)[x2, psi],
-    P2 psi = -(1/theta)[x1, psi], and the complex combination acts as
-    P psi = -i sqrt(2/theta)[b, psi].  hbar = 1.
+    multiply by x1 = sqrt(theta/2)(b + bdag), x2 = -i sqrt(theta/2)(b - bdag)
+    and b from the left; P1 psi = (1/theta)[x2, psi], P2 psi =
+    -(1/theta)[x1, psi], and the complex combination acts as P psi =
+    -i sqrt(2/theta)[b, psi].  hbar = 1.  Each product with a ladder
+    combination is a one-level shift of psi's rows (left) or columns
+    (right), O(N^2) work.
     """
 
     theta: float
     dim: int
-    b: FockOp
-    bdag: FockOp
-    x1: FockOp
-    x2: FockOp
+
+    def _act(self, psi: FockOp, lower: complex, upper: complex, commute: bool = False) -> FockOp:
+        """A psi, or [A, psi] when commute, for A = lower b + upper bdag."""
+        m = _matrix_of(psi, self.dim)
+        out = _ladder(m, lower, upper)
+        if commute:
+            out -= _ladder(m, lower, upper, right=True)
+        return FockOp(self.dim, out)
 
     def X1(self, psi: FockOp) -> FockOp:
-        return self.x1 @ psi
+        s = math.sqrt(self.theta / 2.0)
+        return self._act(psi, s, s)
 
     def X2(self, psi: FockOp) -> FockOp:
-        return self.x2 @ psi
+        s = math.sqrt(self.theta / 2.0)
+        return self._act(psi, -1j * s, 1j * s)
 
     def B(self, psi: FockOp) -> FockOp:
-        return self.b @ psi
+        return self._act(psi, 1.0, 0.0)
 
     def P1(self, psi: FockOp) -> FockOp:
-        return FockOp(self.dim, self.x2.commutator(psi).matrix / self.theta)
+        s = 1.0 / math.sqrt(2.0 * self.theta)  # sqrt(theta/2) / theta
+        return self._act(psi, -1j * s, 1j * s, commute=True)
 
     def P2(self, psi: FockOp) -> FockOp:
-        return FockOp(self.dim, -self.x1.commutator(psi).matrix / self.theta)
+        s = 1.0 / math.sqrt(2.0 * self.theta)
+        return self._act(psi, -s, -s, commute=True)
 
     def P(self, psi: FockOp) -> FockOp:
-        return self.b.commutator(psi) * (-1j * math.sqrt(2.0 / self.theta))
+        return self._act(psi, -1j * math.sqrt(2.0 / self.theta), 0.0, commute=True)
 
 
 def quantum_ops(params: DeformationParams, dim: int) -> QuantumOps:
     """Build the operator set at truncation dim; needs theta > 0."""
     t = _positive_theta(params.theta, "quantum operators need")
-    b, bdag = ladder_ops(dim)
-    s = math.sqrt(t / 2.0)
-    x1 = FockOp(dim, s * (b.matrix + bdag.matrix))
-    x2 = FockOp(dim, -1j * s * (b.matrix - bdag.matrix))
-    return QuantumOps(theta=t, dim=dim, b=b, bdag=bdag, x1=x1, x2=x2)
+    _check_dim(dim)
+    return QuantumOps(theta=t, dim=dim)
 
 
 def momentum_state_op(p, theta, dim: int) -> FockOp:
     """Momentum eigenstate sqrt(theta/2 pi) exp(i sqrt(theta/2)(pbar b + p bdag))
     as a truncated matrix.
 
-    The generator is sqrt(theta/2)(pbar b + p bdag), which is Hermitian, so
-    the exponential is computed by eigendecomposition and is unitary up to
-    the truncation edge.  Warns when theta |p|^2 > dim/4.
+    With p = |p| e^(i phi) and L = diag(e^(i n phi)) the generator is
+    mu L (b + bdag) L^dag, mu = sqrt(theta/2)|p|, so entry (m, n) of the
+    exponential is e^(i (m - n) phi) exp(i mu H)[m, n] for the real
+    H = b + bdag.  H only couples even levels to odd ones, through the
+    block C = H[even, odd] = U S V^T (its SVD), so exp(i mu H) has even-even
+    block 1 - 2 U sin^2(mu S/2) U^T, odd-odd block 1 - 2 V sin^2(mu S/2) V^T
+    and off-diagonal blocks i U sin(mu S) V^T and its transpose.  At odd dim
+    the even level left out of U keeps cos(0) = 1.  The result is unitary up
+    to the truncation edge.  Warns when theta |p|^2 > dim/4.
     """
     t = _positive_theta(theta, "momentum states need")
     p = _finite_complex("p", p)
+    _check_dim(dim)
     try:
         spread = t * abs(p) ** 2
     except OverflowError as exc:
@@ -200,11 +248,19 @@ def momentum_state_op(p, theta, dim: int) -> FockOp:
             RuntimeWarning,
             stacklevel=2,
         )
-    b, bdag = ladder_ops(dim)
-    gen = math.sqrt(t / 2.0) * (p.conjugate() * b.matrix + p * bdag.matrix)
-    evals, vecs = np.linalg.eigh(gen)
-    expm = (vecs * np.exp(1j * evals)) @ vecs.conj().T
-    return FockOp(dim, math.sqrt(t / (2.0 * math.pi)) * expm)
+    mu = math.sqrt(t / 2.0) * abs(p)
+    h = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    u, sigma, vt = np.linalg.svd((h + h.T)[::2, 1::2], full_matrices=False)
+    half = 2.0 * np.sin(mu * sigma / 2.0) ** 2  # 1 - cos(mu sigma), without cancellation
+    out = np.empty((dim, dim), dtype=complex)
+    out[::2, ::2] = np.eye(len(u)) - (u * half) @ u.T
+    out[1::2, 1::2] = np.eye(len(vt)) - (vt.T * half) @ vt
+    out[::2, 1::2] = 1j * ((u * np.sin(mu * sigma)) @ vt)
+    out[1::2, ::2] = out[::2, 1::2].T
+    phase = np.exp(1j * math.atan2(p.imag, p.real) * np.arange(dim))
+    out *= phase[:, None] * math.sqrt(t / (2.0 * math.pi))
+    out *= phase.conj()
+    return FockOp(dim, out)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .deformation import (
     CARTESIAN,
     COMPLEX,
     FRAMES,
+    _MAX_TENSOR,
     DeformationParams,
     _positive_theta,
     star_kernel,
@@ -41,9 +42,19 @@ from .errors import FrameMismatchError, ValidationError
 #: operation so that the arrays stay canonical
 PRUNE_TOL = 1e-14
 
-#: the most entries a star-product tensor f(x) g(y) may hold: 64 MiB of
-#: complex doubles, of which the kernel keeps about four alive at once
-_MAX_TENSOR = 1 << 22
+
+def _quiet(fn):
+    """Run fn with numpy's overflow and invalid-value warnings off: a
+    coefficient that leaves the double range is reported once, as the
+    ValidationError of _store."""
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
+
 
 _VARIABLES = {"x1": (CARTESIAN, 0), "x2": (CARTESIAN, 1), "z": (COMPLEX, 0), "zbar": (COMPLEX, 1)}
 
@@ -151,6 +162,7 @@ class Polynomial2:
             return other
         return Polynomial2.constant(other, self.frame)
 
+    @_quiet
     def __add__(self, other) -> "Polynomial2":
         return Polynomial2._from_array(_sum(self._c, self._coerce(other)._c), self.frame)
 
@@ -165,6 +177,7 @@ class Polynomial2:
     def __rsub__(self, other) -> "Polynomial2":
         return (-self) + other
 
+    @_quiet
     def __mul__(self, other) -> "Polynomial2":
         if not isinstance(other, Polynomial2):
             return Polynomial2._from_array(self._c * complex(other), self.frame)
@@ -175,6 +188,10 @@ class Polynomial2:
     def __pow__(self, n: int) -> "Polynomial2":
         if not isinstance(n, int) or n < 0:
             raise ValidationError(f"polynomial powers take non-negative integers, got {n!r}")
+        d1, d2 = self._c.shape
+        if ((d1 - 1) * n + 1) * ((d2 - 1) * n + 1) > _MAX_TENSOR:
+            raise ValidationError(f"this power of a {d1}x{d2} coefficient box needs more than "
+                                  f"{_MAX_TENSOR} entries")  # n itself may have too many digits to print
         out = Polynomial2.constant(1.0, self.frame)
         base = self
         while n:
@@ -184,6 +201,7 @@ class Polynomial2:
             n >>= 1
         return out
 
+    @_quiet
     def derivative(self, axis: int, order: int = 1) -> "Polynomial2":
         """Partial derivative along variable 0 or 1, applied `order` times."""
         if axis not in (0, 1):
@@ -207,6 +225,7 @@ class Polynomial2:
     def __hash__(self):
         return hash((self.frame, frozenset(self.items())))
 
+    @_quiet
     def max_diff(self, other: "Polynomial2") -> float:
         """Largest coefficient-wise absolute difference."""
         return float(np.abs(_sum(self._c, -self._coerce(other)._c)).max())
@@ -238,7 +257,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The tensor a(x) b(y), axes (a1, a2, b1, b2)."""
+    """The tensor a(x) b(y), axes (a1, a2, b1, b2).  The kernel keeps about
+    four such tensors alive at once."""
     if a.size * b.size > _MAX_TENSOR:
         raise ValidationError(f"the star product of {a.shape} and {b.shape} coefficient boxes "
                               f"needs a tensor of more than {_MAX_TENSOR} entries")
@@ -330,6 +350,7 @@ def _check_frames(f: Polynomial2, g: Polynomial2) -> str:
     return f.frame
 
 
+@_quiet
 def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """Star product of two polynomials, exact (the series terminates).
 
@@ -344,6 +365,7 @@ def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Poly
     return Polynomial2._from_array(_contract(tensor), frame)
 
 
+@_quiet
 def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """f * g - g * f under the star product."""
     frame = _check_frames(f, g)
@@ -356,6 +378,7 @@ def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -
     return Polynomial2._from_array(_contract(fg - gf), frame)
 
 
+@_quiet
 def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """The equivalence map exp((i/4) Phi_ij d_i d_j) applied to f; exact.
 

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,7 @@ def test_task_kind_defaults_are_pinned(kind, options, prepared):
         ("task eval", "line 1: task eval needs expr=..."),
         ("task equivalence f=x1", "line 1: task equivalence needs g=..."),
         ("task fock-check n=1", "line 1: fock-check needs n >= 2"),
+        ("task fock-check n=2049", "line 1: fock-check needs n >= 2 and n <= 2048"),
         ("task verify-all suites=roi,bogus", "line 1: task verify-all option suites: unknown suite 'bogus'"),
         ("task coherent-roi grid=1:2", "line 1: task coherent-roi option grid: bad grid '1:2'"),
         ("task fock-check z=x1", "line 1: task fock-check option z: bad complex literal 'x1'"),
@@ -848,6 +850,27 @@ def test_cli_eval_nonfinite_scalar_is_error(capsys, expr):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_eval_power_past_the_array_bound_is_error(capsys):
+    # squaring x1 toward x1^(10^200) would double its array until memory ran out
+    start = time.perf_counter()
+    assert main(["eval", "x1^1e200"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: this power of a 2x1 coefficient box needs more than")
+    assert main(["eval", "(x1 - x1)^5000"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+def test_cli_fock_check_past_the_array_bound_is_error(tmp_path, capsys):
+    # n = 100000 would ask for N x N complex matrices of 149 GiB
+    path = tmp_path / "huge.scn"
+    path.write_text("task fock-check n=100000\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 1: fock-check needs n >= 2 and n <= 2048\n"
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -49,6 +49,24 @@ def test_ladder_requires_dim_at_least_two():
         ladder_ops(1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        ladder_ops,
+        lambda dim: coherent_vector(0.5, dim),
+        lambda dim: momentum_state_op(0.5, 1.0, dim),
+        lambda dim: quantum_ops(make_params(1.0), dim),
+    ],
+    ids=["ladder_ops", "coherent_vector", "momentum_state_op", "quantum_ops"],
+)
+def test_dims_past_the_array_bound_are_refused_before_allocating(build):
+    # 2048^2 entries is the bound; 100000^2 complex entries would be 149 GiB
+    with pytest.raises(ValidationError, match="truncation dimension 2049"):
+        build(2049)
+    with pytest.raises(ValidationError, match="truncation dimension 100000"):
+        build(100000)
+
+
 def test_fockop_dim_mismatch():
     a, _ = ladder_ops(4)
     b, _ = ladder_ops(8)
@@ -194,12 +212,37 @@ def test_p_is_complex_combination():
     assert np.max(np.abs(ops.P(psi).matrix - combo)) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3, 17, 64])
+def test_actions_match_dense_ladder_products(dim):
+    # full-support states: an off-by-one shift at either edge shows here
+    b, bd = (op.matrix for op in ladder_ops(dim))
+    rng = np.random.default_rng(dim)
+    for theta in (0.5, 1.0, 2.0):
+        ops = quantum_ops(make_params(theta), dim)
+        x1 = math.sqrt(theta / 2.0) * (b + bd)
+        x2 = -1j * math.sqrt(theta / 2.0) * (b - bd)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        want = {
+            ops.X1: x1 @ m,
+            ops.X2: x2 @ m,
+            ops.B: b @ m,
+            ops.P1: (x2 @ m - m @ x2) / theta,
+            ops.P2: -(x1 @ m - m @ x1) / theta,
+            ops.P: -1j * math.sqrt(2.0 / theta) * (b @ m - m @ b),
+        }
+        for action, dense in want.items():
+            got = action(FockOp(dim, m)).matrix
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_quantum_ops_check_dimensions():
     ops = quantum_ops(make_params(1.0), 8)
     psi = FockOp(6, np.eye(6))
     for action in (ops.X1, ops.X2, ops.P1, ops.P2, ops.B, ops.P):
         with pytest.raises(DimensionMismatchError):
             action(psi)
+        with pytest.raises(TypeError):
+            action(np.eye(8))
 
 
 def test_voros_product_composes_normal_ordered_operators():
@@ -238,9 +281,21 @@ def test_momentum_state_zero_is_scaled_identity():
 
 
 def test_momentum_state_matches_scipy_expm():
-    # the eigendecomposition route against scaling-and-squaring, including
-    # a generator of spectral norm ~50
-    for p, theta, dim in ((0.5 - 0.7j, 1.0, 48), (1.5 + 0.2j, 2.0, 64), (3.1 + 0j, 2.0, 64)):
+    # the SVD route against scaling-and-squaring, including a generator of
+    # spectral norm ~50, odd dims (an even level outside the SVD), dim 2,
+    # and p off the positive real axis (the phase rotation)
+    for p, theta, dim in (
+        (0.5 - 0.7j, 1.0, 48),
+        (1.5 + 0.2j, 2.0, 64),
+        (3.1 + 0j, 2.0, 64),
+        (0.5 - 0.7j, 1.0, 17),
+        (-1.2 + 0j, 2.0, 65),
+        (0.8j, 0.5, 2),
+        (-0.6 - 1.1j, 1.0, 17),
+        (-2.0 + 0j, 1.0, 2),
+        (1.3j, 2.0, 65),
+        (-0.9 - 0.4j, 2.0, 64),
+    ):
         b, bd = ladder_ops(dim)
         gen = math.sqrt(theta / 2.0) * (p.conjugate() * b.matrix + p * bd.matrix)
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Exact polynomial star algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ def test_star_tensor_limit_raises_validation_error():
         star_poly(big, big, make_params(1.0))
     with pytest.raises(ValidationError):
         star_commutator(big, big, make_params(1.0))
+
+
+def test_overflow_raises_once_and_warns_nothing():
+    # the tensor f(x) g(y) overflows to inf, the kernel then meets inf * 0 and
+    # the commutator inf - inf; _store's finiteness check is the one report
+    f, g = 1e200 * X1**2, 1e200 * X2**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="must be finite"):
+            star_poly(f, g, preset_params("moyal", 1.0))
+        with pytest.raises(ValidationError, match="must be finite"):
+            star_commutator(f, g, preset_params("moyal", 1.0))
 
 
 def test_zero_polynomial_has_empty_terms():
