@@ -62,7 +62,8 @@ def format_wavesum(ws: WaveSum) -> str:
     parts = []
     # the exponent's coefficients are the derivative eigenvalues; the
     # terms arrive sorted by wavevector
-    for t, coeffs in zip(ws.terms, _eigenvalues(ws)):
+    for t in ws.terms:
+        coeffs = _eigenvalues(ws.frame, *t.wavevector)
         exp_parts = []
         for c, name in zip(coeffs, names):
             if c == 0:

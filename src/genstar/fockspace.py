@@ -42,13 +42,12 @@ def _matrix_of(psi, dim: int) -> np.ndarray:
     return psi.matrix
 
 
-def _as_square(matrix, dim: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+def _as_square(m: np.ndarray, dim: int) -> np.ndarray:
+    """m, made read-only, once its shape and entries are checked."""
     if m.shape != (dim, dim):
         raise ValidationError(f"matrix shape {m.shape} does not match dim {dim}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
-    m = m.copy()
     m.setflags(write=False)
     return m
 
@@ -63,34 +62,45 @@ class FockOp:
     def __post_init__(self):
         if self.dim < 2:
             raise ValidationError(f"truncation dimension must be >= 2, got {self.dim}")
-        object.__setattr__(self, "matrix", _as_square(self.matrix, self.dim))
+        # a copy: the caller keeps the array it passed, and may write to it
+        matrix = np.array(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", _as_square(matrix, self.dim))
+
+    @classmethod
+    def _owned(cls, dim: int, matrix: np.ndarray) -> "FockOp":
+        """FockOp(dim, matrix) for a complex array the engine has just
+        allocated and holds no other reference to: checked, not copied."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "matrix", _as_square(np.asarray(matrix, dtype=complex), dim))
+        return op
 
     def dagger(self) -> "FockOp":
-        return FockOp(self.dim, self.matrix.conj().T)
+        return FockOp._owned(self.dim, self.matrix.conj().T)
 
     def _check(self, other):
         _matrix_of(other, self.dim)
 
     def __matmul__(self, other):
         self._check(other)
-        return FockOp(self.dim, self.matrix @ other.matrix)
+        return FockOp._owned(self.dim, self.matrix @ other.matrix)
 
     def __add__(self, other):
         self._check(other)
-        return FockOp(self.dim, self.matrix + other.matrix)
+        return FockOp._owned(self.dim, self.matrix + other.matrix)
 
     def __sub__(self, other):
         self._check(other)
-        return FockOp(self.dim, self.matrix - other.matrix)
+        return FockOp._owned(self.dim, self.matrix - other.matrix)
 
     def __mul__(self, scalar):
-        return FockOp(self.dim, self.matrix * complex(scalar))
+        return FockOp._owned(self.dim, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
     def commutator(self, other: "FockOp") -> "FockOp":
         self._check(other)
-        return FockOp(self.dim, self.matrix @ other.matrix - other.matrix @ self.matrix)
+        return FockOp._owned(self.dim, self.matrix @ other.matrix - other.matrix @ self.matrix)
 
 
 def ladder_ops(dim: int) -> tuple[FockOp, FockOp]:
@@ -101,7 +111,7 @@ def ladder_ops(dim: int) -> tuple[FockOp, FockOp]:
     """
     _check_dim(dim)
     b = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-    return FockOp(dim, b), FockOp(dim, b.conj().T)
+    return FockOp._owned(dim, b), FockOp._owned(dim, b.conj().T)
 
 
 def coherent_vector(z, dim: int) -> np.ndarray:
@@ -138,7 +148,7 @@ def coherent_projector(z, dim: int) -> FockOp:
     """Rank-1 operator |z><z|; the minimum-uncertainty element of the
     quantum Hilbert space."""
     v = coherent_vector(z, dim)
-    return FockOp(dim, np.outer(v, v.conj()))
+    return FockOp._owned(dim, np.outer(v, v.conj()))
 
 
 def hs_inner(phi: FockOp, psi: FockOp) -> complex:
@@ -188,7 +198,7 @@ class QuantumOps:
         out = _ladder(m, lower, upper)
         if commute:
             out -= _ladder(m, lower, upper, right=True)
-        return FockOp(self.dim, out)
+        return FockOp._owned(self.dim, out)
 
     def X1(self, psi: FockOp) -> FockOp:
         s = math.sqrt(self.theta / 2.0)
@@ -260,7 +270,7 @@ def momentum_state_op(p, theta, dim: int) -> FockOp:
     phase = np.exp(1j * math.atan2(p.imag, p.real) * np.arange(dim))
     out *= phase[:, None] * math.sqrt(t / (2.0 * math.pi))
     out *= phase.conj()
-    return FockOp(dim, out)
+    return FockOp._owned(dim, out)
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,35 @@ T_Phi-images of position states resolve the identity under *_Phi for
 every Phi.  At Voros T is the coherent Gaussian exp(-theta |p|^2 / 4);
 coherent_roi_kernel is the position kernel transported that way.
 
-roi_diagonal evaluates a whole grid of diagonal RoI amplitudes as arrays.
-Its private pair-array type replays CPython's complex arithmetic step by
-step on float64 real and imaginary arrays (products as real pairs, a float
-widened to (x, 0.0), division as _Py_c_quot, np.exp for cmath.exp), and it
-takes K from star_kernel and the state weights from _coherent_state, so
-every amplitude has the bits of the scalar *_roi_amplitude functions, which
-stay the reference and handle the points at the edge of the float range.
+A private pair-array type, _Pairs, replays CPython's complex arithmetic
+step by step on float64 real and imaginary arrays (products as real pairs,
+a float widened to (x, 0.0), division as _Py_c_quot, np.exp for cmath.exp),
+so an expression written once (_pair_exponent, the star pair exponent) has
+the same bits on Python complex numbers and on arrays.  roi_diagonal
+evaluates a whole grid of diagonal RoI amplitudes that way, with K from
+star_kernel and the state weights from _coherent_state, so every amplitude
+has the bits of the scalar *_roi_amplitude functions, which stay the
+reference and handle the points at the edge of the float range.
 
 Every WaveSum is canonical, by one rule (``_merge``): terms whose
 wavevector components fall in the same WVEC_TOL cells merge, each group's
 amplitude is the exactly rounded sum of its parts, a group is dropped only
 when it cancels to within AMP_TOL of the mass that went into it, and the
 terms are sorted by wavevector.  The result does not depend on term order.
+
+star_wave and pointwise_mul take one of two paths by the pair count n*m,
+and both give the same bits.  Below _ARRAY_PAIRS a loop forms each pair on
+Python complex numbers and _merge merges them; numpy's fixed cost per call
+makes that loop several times faster on the few-pair products of the
+suites and RoI kernels.  From _ARRAY_PAIRS on, every pair's exponent,
+factor and amplitude are formed at once on _Pairs, and _merge_sorted
+groups the pairs by one sort on the same cell keys, taking math.fsum over
+each group of more than one.  On a 2-CPU x86 host the two cost the same
+at about 100 pairs when the pairs merge (integer lattices) and about 225
+when they do not.
+A pair exponent past cmath.exp's unscaled range, a term that is not
+finite, or a merged sum that overflows sends the whole product back to the
+loop, so each error keeps its text and its first failing pair.
 """
 
 from __future__ import annotations
@@ -56,6 +72,10 @@ AMP_TOL = 1e-14
 #: wavevector components are snapped to cells of this width; terms whose four
 #: real components share cells merge
 WVEC_TOL = 1e-9
+
+#: pair count from which star_wave and pointwise_mul form their pairs as
+#: arrays (see the module docstring for the crossover it sits at)
+_ARRAY_PAIRS = 100
 
 #: a plane integral whose frequency has an imaginary part above this diverges
 IMAG_TOL = 1e-10
@@ -98,6 +118,14 @@ class WaveSum:
         if self.frame not in FRAMES:
             raise ValidationError(f"unknown frame {self.frame!r}")
         object.__setattr__(self, "terms", _merge(self.terms, self.frame))
+
+    @classmethod
+    def _canonical(cls, terms: tuple[ExpLinearTerm, ...], frame: str) -> "WaveSum":
+        """A sum of terms that _merge_sorted has merged, pruned and sorted."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "terms", terms)
+        object.__setattr__(w, "frame", frame)
+        return w
 
     @classmethod
     def zero(cls, frame: str = CARTESIAN) -> "WaveSum":
@@ -143,17 +171,7 @@ class WaveSum:
         """Ordinary (commutative) product; exponents add termwise."""
         if other.frame != self.frame:
             raise FrameMismatchError(f"cannot multiply {self.frame!r} and {other.frame!r} sums")
-        out = []
-        for s in self.terms:
-            for t in other.terms:
-                out.append(
-                    ExpLinearTerm(
-                        s.amplitude * t.amplitude,
-                        self.frame,
-                        (s.wavevector[0] + t.wavevector[0], s.wavevector[1] + t.wavevector[1]),
-                    )
-                )
-        return WaveSum(tuple(out), self.frame)
+        return _product(self, other)
 
     def evaluate(self, v1, v2) -> complex:
         return sum((t.evaluate(v1, v2) for t in self.terms), 0j)
@@ -173,8 +191,9 @@ def _order(t: ExpLinearTerm) -> tuple[float, float, float, float]:
 
 def _merge(terms, frame: str, prune: bool = True) -> tuple[ExpLinearTerm, ...]:
     """The one place wave terms are checked, matched, summed and pruned, by
-    the rule in the module docstring; prune=False keeps every group.  Terms
-    must be in `frame` with finite amplitudes and wavevectors."""
+    the rule in the module docstring (_merge_sorted applies the same rule to
+    the array path's pairs); prune=False keeps every group.  Terms must be
+    in `frame` with finite amplitudes and wavevectors."""
     groups: dict[tuple, list[ExpLinearTerm]] = {}
     for t in terms:
         if t.frame != frame:
@@ -207,12 +226,200 @@ def _merge(terms, frame: str, prune: bool = True) -> tuple[ExpLinearTerm, ...]:
     return tuple(out)
 
 
-def _eigenvalues(f: WaveSum) -> list[tuple[complex, complex]]:
-    """Per term, the eigenvalues of (d_1, d_2) on it: (i k1, i k2) for a
-    cartesian plane wave, (a, b) for exp(a z + b zbar)."""
-    if f.frame == CARTESIAN:
-        return [(1j * k1, 1j * k2) for k1, k2 in (t.wavevector for t in f.terms)]
-    return [t.wavevector for t in f.terms]
+def _cells(x: np.ndarray) -> np.ndarray:
+    """x - math.remainder(x, WVEC_TOL) elementwise: _merge's cell keys, the
+    double nearest n * WVEC_TOL for n the integer nearest x / WVEC_TOL, ties
+    to even.  Where x / WVEC_TOL rounds below 2^40 and more than 1e-4 from a
+    tie, n is np.rint of it; elsewhere math.remainder itself gives the key
+    (np.remainder is a floor-mod)."""
+    q = x / WVEC_TOL
+    n = np.rint(q)
+    exact = np.abs(q) >= 2.0**40
+    q -= n
+    exact |= np.abs(q, out=q) >= 0.4999
+    keys = np.multiply(n, WVEC_TOL, out=n)  # in place: fresh pages cost more than the arithmetic
+    if exact.any():
+        keys[exact] = [y - math.remainder(y, WVEC_TOL) for y in x[exact].tolist()]
+    return keys
+
+
+def _merge_sorted(re, im, wv, frame: str):
+    """_merge on columns: finite amplitudes re + i im and wavevectors whose
+    (x1, y1, x2, y2) are the rows of wv.  One lexsort puts each cell's terms
+    together, smallest wavevector first; a group of more than one takes
+    math.fsum of its parts as _merge does.  Returns None where a sum or a
+    magnitude overflows, so that _merge can raise the error at its own
+    first group."""
+    keys = _cells(wv)
+    order = np.lexsort((*wv[::-1], *keys[::-1]))
+    keys = keys[:, order]
+    first = np.flatnonzero(np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0))))
+    size = np.diff(first, append=order.size)
+    re, im = re[order], im[order]
+    total_re, total_im, rep = re[first], im[first], wv[:, order[first]]
+    keep = (total_re != 0.0) | (total_im != 0.0)
+    many = np.flatnonzero(size > 1)
+    if many.size:
+        rep[:, many] += 0.0  # as _merge's + 0j: a tied zero component may carry either sign
+        mag = np.hypot(re, im)  # Python's abs(complex) is hypot too
+        if not np.isfinite(mag).all():
+            return None
+        re_l, im_l, mag_l = re.tolist(), im.tolist(), mag.tolist()
+        for g, a, b in zip(many.tolist(), first[many].tolist(), (first + size)[many].tolist()):
+            try:
+                total = complex(math.fsum(re_l[a:b]), math.fsum(im_l[a:b]))
+                keep[g] = abs(total) > AMP_TOL * math.fsum(mag_l[a:b])
+            except OverflowError:
+                return None
+            total_re[g], total_im[g] = total.real, total.imag
+    kept = np.flatnonzero(keep)
+    kept = kept[np.lexsort(rep[::-1, kept])]
+    return tuple(
+        ExpLinearTerm(complex(a, b), frame, (complex(x1, y1), complex(x2, y2)))
+        for a, b, x1, y1, x2, y2 in zip(total_re[kept].tolist(), total_im[kept].tolist(),
+                                        *rep[:, kept].tolist())
+    )
+
+
+def _eigenvalues(frame: str, k1, k2):
+    """The eigenvalues of (d_1, d_2) on a term with wavevector (k1, k2):
+    (i k1, i k2) for a cartesian plane wave, (a, b) for exp(a z + b zbar);
+    complex numbers or _Pairs."""
+    if frame == CARTESIAN:
+        return 1j * k1, 1j * k2
+    return k1, k2
+
+
+class _Pairs:
+    """Complex values as float64 real and imaginary arrays whose arithmetic
+    is CPython's complex arithmetic (up to 3.13) step by step, so each
+    element has the bits that the same expression on Python complex numbers
+    gives: products are taken as real pairs, a float or complex operand is
+    widened to (re, im) first (a float to (x, 0.0)), and division by a float
+    is _Py_c_quot's divide-by-b.real branch.  numpy's own complex product
+    and abs round differently on a share of inputs."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _of(x) -> "_Pairs":
+        if isinstance(x, _Pairs):
+            return x
+        x = complex(x)
+        return _Pairs(x.real, x.imag)
+
+    def __add__(self, other) -> "_Pairs":
+        o = _Pairs._of(other)
+        return _Pairs(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, other) -> "_Pairs":
+        o = _Pairs._of(other)
+        return _Pairs(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    # IEEE * and + commute, so a scalar on the left gives the same bits
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "_Pairs":
+        return _Pairs(self.re, -self.im)
+
+    def __truediv__(self, x: float) -> "_Pairs":
+        ratio = 0.0 / x
+        denom = x + 0.0 * ratio
+        return _Pairs((self.re + self.im * ratio) / denom, (self.im - self.re * ratio) / denom)
+
+    def exp(self) -> "_Pairs":
+        """np.exp, which gives cmath.exp's bits wherever cmath.exp takes its
+        unscaled branch (real part up to about 708.4)."""
+        z = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
+        z.real, z.imag = self.re, self.im
+        z = np.exp(z)
+        return _Pairs(z.real, z.imag)
+
+
+def _pair_exponent(k, d, e):
+    """The star pair exponent K_ab d_a e_b, on complex numbers or _Pairs: the
+    one writer of its operation order, and so of its bits."""
+    k11, k12, k21, k22 = k
+    return k11 * d[0] * e[0] + k12 * d[0] * e[1] + k21 * d[1] * e[0] + k22 * d[1] * e[1]
+
+
+def _columns(terms, shape):
+    """The amplitudes and both wavevector components of terms as _Pairs of
+    the given shape, or None if a value is not a Python complex (an int or
+    float keeps its own arithmetic in the scalar loop)."""
+    values = [v for t in terms for v in (t.amplitude, *t.wavevector)]
+    if not all(type(v) is complex for v in values):
+        return None
+    c = np.array(values, dtype=complex).reshape(-1, 3)
+    return tuple(_Pairs(c[:, j].real.reshape(shape), c[:, j].imag.reshape(shape)) for j in range(3))
+
+
+def _scalar_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
+    """_product one pair at a time, s in f outermost."""
+    right = [(t, _eigenvalues(g.frame, *t.wavevector)) for t in g.terms]
+    out = []
+    for s in f.terms:
+        d = _eigenvalues(f.frame, *s.wavevector)
+        for t, e in right:
+            amplitude = s.amplitude * t.amplitude
+            if kernel is not None:
+                phase = _pair_exponent(kernel, d, e)
+                try:
+                    amplitude = amplitude * cmath.exp(phase)
+                except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
+                    raise ValidationError(
+                        f"star_wave: the pair factor exp({phase:.6g}) overflows"
+                    ) from exc
+            out.append(
+                ExpLinearTerm(
+                    amplitude,
+                    f.frame,
+                    (s.wavevector[0] + t.wavevector[0], s.wavevector[1] + t.wavevector[1]),
+                )
+            )
+    return WaveSum(tuple(out), f.frame)
+
+
+def _array_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum | None:
+    """_scalar_product's bits on _Pairs arrays (f along axis 0), merged by
+    _merge_sorted.  None where the scalar loop must run, so that each error
+    keeps its text and its first failing pair: a value that is not a Python
+    complex, a pair exponent whose real part is not finite or passes 708
+    (where np.exp stops matching cmath.exp), a pair term that is not finite,
+    or a merged amplitude that overflows."""
+    left, right = _columns(f.terms, (-1, 1)), _columns(g.terms, (1, -1))
+    if left is None or right is None:
+        return None
+    (a, s1, s2), (b, t1, t2) = left, right
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = a * b
+        if kernel is not None:
+            exponent = _pair_exponent(kernel, _eigenvalues(f.frame, s1, s2),
+                                      _eigenvalues(g.frame, t1, t2))
+            if not (np.isfinite(exponent.re).all() and (exponent.re <= 708.0).all()):
+                return None
+            amplitude = amplitude * exponent.exp()
+        k1, k2 = s1 + t1, s2 + t2
+        wv = np.stack([k1.re, k1.im, k2.re, k2.im]).reshape(4, -1)
+        re, im = amplitude.re.ravel(), amplitude.im.ravel()
+        if not (np.isfinite(wv).all() and np.isfinite(re).all() and np.isfinite(im).all()):
+            return None
+        terms = _merge_sorted(re, im, wv, f.frame)
+    return None if terms is None else WaveSum._canonical(terms, f.frame)
+
+
+def _product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
+    """Every pair of f's and g's terms, merged: amplitudes multiply, times
+    the star pair factor exp(K_ab d_a e_b) when kernel is K, and wavevectors
+    add.  From _ARRAY_PAIRS pairs on the pairs are formed as arrays."""
+    if len(f.terms) * len(g.terms) >= _ARRAY_PAIRS:
+        merged = _array_product(f, g, kernel)
+        if merged is not None:
+            return merged
+    return _scalar_product(f, g, kernel)
 
 
 def star_wave(f: WaveSum, g: WaveSum, params: DeformationParams) -> WaveSum:
@@ -227,26 +434,7 @@ def star_wave(f: WaveSum, g: WaveSum, params: DeformationParams) -> WaveSum:
         raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
     if f.is_zero or g.is_zero:
         return WaveSum.zero(f.frame)
-    k11, k12, k21, k22 = star_kernel(f.frame, params)
-    right = list(zip(g.terms, _eigenvalues(g)))
-    out = []
-    for s, (d1, d2) in zip(f.terms, _eigenvalues(f)):
-        for t, (e1, e2) in right:
-            phase = k11 * d1 * e1 + k12 * d1 * e2 + k21 * d2 * e1 + k22 * d2 * e2
-            try:
-                factor = cmath.exp(phase)
-            except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
-                raise ValidationError(
-                    f"star_wave: the pair factor exp({phase:.6g}) overflows"
-                ) from exc
-            out.append(
-                ExpLinearTerm(
-                    s.amplitude * t.amplitude * factor,
-                    f.frame,
-                    (s.wavevector[0] + t.wavevector[0], s.wavevector[1] + t.wavevector[1]),
-                )
-            )
-    return WaveSum(tuple(out), f.frame)
+    return _product(f, g, star_kernel(f.frame, params))
 
 
 def tmap_wave(f: WaveSum, params: DeformationParams) -> WaveSum:
@@ -417,61 +605,6 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     delta = plane_integral_z(star_wave(bra, ket, params))
     # delta(2s(p1-p1')) delta(2s(p2-p2')) = delta2(p - p') / (2 theta)
     return delta.amplitude / (2.0 * t)
-
-
-class _Pairs:
-    """Complex values as float64 real and imaginary arrays whose arithmetic
-    is CPython's complex arithmetic (up to 3.13) step by step, so each
-    element has the bits that the same expression on Python complex numbers
-    gives: products are taken as real pairs, a float or complex operand is
-    widened to (re, im) first (a float to (x, 0.0)), and division by a float
-    is _Py_c_quot's divide-by-b.real branch.  numpy's own complex product
-    and abs round differently on a share of inputs."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def _of(x) -> "_Pairs":
-        if isinstance(x, _Pairs):
-            return x
-        x = complex(x)
-        return _Pairs(x.real, x.imag)
-
-    def __add__(self, other) -> "_Pairs":
-        o = _Pairs._of(other)
-        return _Pairs(self.re + o.re, self.im + o.im)
-
-    def __mul__(self, other) -> "_Pairs":
-        o = _Pairs._of(other)
-        return _Pairs(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    # IEEE * and + commute, so a scalar on the left gives the same bits
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "_Pairs":
-        return _Pairs(self.re, -self.im)
-
-    def __truediv__(self, x: float) -> "_Pairs":
-        ratio = 0.0 / x
-        denom = x + 0.0 * ratio
-        return _Pairs((self.re + self.im * ratio) / denom, (self.im - self.re * ratio) / denom)
-
-    def exp(self) -> "_Pairs":
-        """np.exp, which gives cmath.exp's bits wherever cmath.exp takes its
-        unscaled branch (real part up to about 708.4)."""
-        z = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
-        z.real, z.imag = self.re, self.im
-        z = np.exp(z)
-        return _Pairs(z.real, z.imag)
-
-
-def _pair_exponent(k, d, e):
-    """star_wave's pair exponent K_ab d_a e_b, in star_wave's operation order."""
-    k11, k12, k21, k22 = k
-    return k11 * d[0] * e[0] + k12 * d[0] * e[1] + k21 * d[1] * e[0] + k22 * d[1] * e[1]
 
 
 def _position_grid(params: DeformationParams, p1, p2) -> tuple[_Pairs, _Pairs]:

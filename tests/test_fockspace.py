@@ -125,6 +125,24 @@ def test_coherent_overlap_gaussian():
     assert abs(got - cmath.exp(-abs(z - zp) ** 2)) < 1e-10
 
 
+def test_fockop_keeps_its_own_copy_of_a_caller_array():
+    m = np.eye(4, dtype=complex)
+    psi = FockOp(4, m)
+    m[0, 0] = 7.0
+    assert psi.matrix[0, 0] == 1.0
+    assert m.flags.writeable and not psi.matrix.flags.writeable
+    # engine results are checked like any other, and are read-only too
+    b, bd = ladder_ops(16)
+    for op in (b, bd, b.dagger(), b @ bd, b + bd, b - bd, 2 * b, b.commutator(bd),
+               coherent_projector(0.5, 16), momentum_state_op(0.5, 1.0, 16),
+               quantum_ops(make_params(1.0), 16).P(b)):
+        assert not op.matrix.flags.writeable
+    with pytest.raises(ValidationError, match="finite"), np.errstate(invalid="ignore"):
+        b * math.inf
+    with pytest.raises(ValidationError, match="shape"):
+        FockOp(4, np.eye(3))
+
+
 # -- Hilbert-Schmidt inner product ------------------------------------------
 
 

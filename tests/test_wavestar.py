@@ -32,8 +32,17 @@ from genstar import (
     star_wave,
     tmap_wave,
 )
+from genstar.deformation import star_kernel
+from genstar.exprio import evaluate_expression, parse_expression
 from genstar.suites import random_params, random_wavesum
-from genstar.wavestar import roi_diagonal
+from genstar.wavestar import (
+    WVEC_TOL,
+    _ARRAY_PAIRS,
+    _array_product,
+    _cells,
+    _scalar_product,
+    roi_diagonal,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,6 +224,149 @@ def test_star_wave_and_tmap_wave_overflow_is_a_validation_error():
     big = WaveSum.plane_wave(0.0, 0.0, amplitude=1e200)
     with pytest.raises(ValidationError, match="not finite"):
         star_wave(big, big, voros)
+
+
+# -- the array path of star_wave and pointwise_mul ---------------------------------
+
+#: floats at odd multiples of WVEC_TOL / 2, the IEEE-remainder ties (exactly
+#: so at +-WVEC_TOL / 2, within an ulp elsewhere), beside cell interiors
+_TIE_COMPONENTS = [s * j * (WVEC_TOL / 2) for j in (1, 3, 5, 7, 0.8, 1.2) for s in (1.0, -1.0)]
+
+
+#: components whose cells lie past 2^40 * WVEC_TOL, and beside that bound
+_HUGE_COMPONENTS = [1e300, 1.5e300, -1e300, 3e5 + 0.4e-9, 3e5 + 0.6e-9, 1099.5, 1099.52, 0.0]
+
+
+def test_cell_keys_match_the_ieee_remainder():
+    # odd multiples of WVEC_TOL / 2 and their neighbours, where x / WVEC_TOL
+    # rounds onto a half-integer that the exact quotient misses; cells at and
+    # past 2^40; huge and subnormal values
+    odd = [j * (WVEC_TOL / 2) for j in range(-41, 42, 2)]
+    xs = odd + [math.nextafter(x, d) for x in odd for d in (-math.inf, math.inf)]
+    xs += [1099.5, 1099.52, 3e5 + 0.4e-9, 3e5 + 0.6e-9, 1e300, -1.7e308, 5e-324, 0.0, -0.0]
+    with np.errstate(over="ignore", invalid="ignore"):  # as on the array path
+        keys = _cells(np.array(xs))
+    assert keys.tolist() == [x - math.remainder(x, WVEC_TOL) for x in xs]
+
+
+def _wave(rng, n, frame, kind):
+    """n terms: an integer lattice with signed zeros and amplitudes that
+    cancel exactly, tie components, huge components or random complex
+    wavevectors."""
+    terms = []
+    for _ in range(n):
+        if kind == "lattice":
+            k = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.0], 2)
+            k1, k2 = complex(k[0], rng.choice([0.0, -0.0])), complex(k[1], rng.choice([0.0, -0.0]))
+            a = complex(rng.choice([1.0, -1.0, 0.5, -0.5, 2.0]), rng.choice([0.0, -0.0, 1.0]))
+        else:
+            pool = {"ties": _TIE_COMPONENTS + [0.0, -0.0], "huge": _HUGE_COMPONENTS}.get(
+                kind, rng.uniform(-2, 2, 8).tolist())
+            k1, k2 = (complex(*rng.choice(pool, 2)) for _ in range(2))
+            a = complex(*rng.uniform(-1, 1, 2))
+        terms.append(ExpLinearTerm(a, frame, (k1, k2)))
+    return terms
+
+
+def _array_cases():
+    """(f's terms, g's terms, frame, kernel or None for pointwise_mul), at
+    _ARRAY_PAIRS pairs or more, for Moyal, Voros and a complex generic Phi."""
+    rng = np.random.default_rng(29)
+    params = (preset_params("moyal", 0.8), preset_params("voros", 0.8),
+              make_params(0.7, 0.3 + 0.2j, -0.1j, 0.5))
+    for frame in ("cartesian", "complex"):
+        for kind in ("lattice", "ties", "random"):
+            for _ in range(3):
+                f, g = (_wave(rng, int(rng.integers(10, 30)), frame, kind) for _ in range(2))
+                yield f, g, frame, None
+                for p in params:
+                    yield f, g, frame, star_kernel(frame, p)
+    # pointwise only: the star pair exponent of a huge wavevector overflows
+    yield (*(_wave(rng, 12, "cartesian", "huge") for _ in range(2)), "cartesian", None)
+    line = [ExpLinearTerm(1 + 0j, "cartesian", (complex(k), 0j))
+            for k in _HUGE_COMPONENTS + [1.0, 2.0, 3.0]]
+    yield line, line, "cartesian", None
+    # an interior lattice point meets +1 and -1 twice each: it cancels exactly
+    square = [ExpLinearTerm(1 + 0j, "cartesian", (complex(a), complex(b)))
+              for a in range(5) for b in range(5)]
+    steps = [ExpLinearTerm(complex(s), "cartesian", (complex(a), complex(b)))
+             for s, a, b in ((1, 1, 0), (-1, -1, 0), (1, 0, 1), (-1, 0, -1))]
+    yield square, steps, "cartesian", None
+
+
+def test_array_path_matches_the_scalar_loop_bit_for_bit():
+    rnd = np.random.default_rng(31)
+    for fterms, gterms, frame, kernel in _array_cases():
+        f, g = WaveSum(tuple(fterms), frame), WaveSum(tuple(gterms), frame)
+        assert len(f.terms) * len(g.terms) >= _ARRAY_PAIRS
+        want = repr(_scalar_product(f, g, kernel).terms)
+        got = _array_product(f, g, kernel)
+        assert got is not None and repr(got.terms) == want
+        # the public entry points take the array path, in any term order
+        rnd.shuffle(fterms)
+        rnd.shuffle(gterms)
+        f, g = WaveSum(tuple(fterms), frame), WaveSum(tuple(gterms), frame)
+        assert repr(_array_product(f, g, kernel).terms) == want
+    # a pair exponent of 709 takes cmath.exp's scaled branch, which np.exp
+    # does not match: that product goes back to the loop
+    voros = preset_params("voros", 1.0)
+    rest = sum((WaveSum.plane_wave(k, 0.0, 0.5) for k in range(10, 20)), WaveSum.zero())
+    f, g = WaveSum.plane_wave(-2j, 0) + rest, WaveSum.plane_wave(-709j, 0) + rest
+    kernel = star_kernel("cartesian", voros)
+    assert _array_product(f, g, kernel) is None
+    assert repr(star_wave(f, g, voros).terms) == repr(_scalar_product(f, g, kernel).terms)
+    # a term built with ints keeps the loop's int arithmetic and its repr
+    ints = WaveSum(tuple(ExpLinearTerm(1, "cartesian", (k, 0)) for k in range(10)))
+    assert _array_product(ints, ints) is None
+    assert repr(ints.pointwise_mul(ints).terms) == repr(_scalar_product(ints, ints).terms)
+    # the last case: where +1 and -1 meet equally often, a cell cancels and goes
+    cells = {(s.wavevector[0] + t.wavevector[0], s.wavevector[1] + t.wavevector[1])
+             for s in fterms for t in gterms}
+    assert len(_array_product(WaveSum(tuple(fterms)), WaveSum(tuple(gterms))).terms) < len(cells)
+
+
+def test_array_path_raises_the_scalar_loop_error():
+    voros = preset_params("voros", 1.0)
+    kernel = star_kernel("cartesian", voros)
+    rest = sum((WaveSum.plane_wave(k, 0.0, 0.5) for k in range(10, 20)), WaveSum.zero())
+    origin, one = WaveSum.plane_wave(0, 0), WaveSum.plane_wave(1, 0)
+    big = 1.5e308 + 1.5e308j
+    cases = [
+        # the pair factor exp(820) overflows cmath.exp
+        (WaveSum.plane_wave(-40j, 0), WaveSum.plane_wave(-41j, 0), kernel, "overflows"),
+        # finite factors, but the amplitude product 1e200 * 1e200 is not
+        (origin * 1e200, origin * 1e200, kernel, "not finite"),
+        # nor is the wavevector sum 1.7e308 + 1.7e308
+        (WaveSum.plane_wave(1.7e308, 0), WaveSum.plane_wave(1.7e308, 0), None, "not finite"),
+        # (0, 0) + (1, 0) and (1, 0) + (0, 0) meet: 1e308 + 1e308 overflows fsum
+        (origin * 1e308 + one * 1e308, origin + one, None, "amplitudes overflow"),
+        # they cancel, but each part's magnitude overflows
+        (origin * big - one * big, origin + one, None, "amplitudes overflow"),
+    ]
+    for f, g, k, text in cases:
+        f, g = f + rest, g + rest
+        assert len(f.terms) * len(g.terms) >= _ARRAY_PAIRS
+        assert _array_product(f, g, k) is None
+        with pytest.raises(ValidationError, match=text) as want:
+            _scalar_product(f, g, k)
+        with pytest.raises(ValidationError) as got:
+            star_wave(f, g, voros) if k is not None else f.pointwise_mul(g)
+        assert str(got.value) == str(want.value)
+
+
+def test_pointwise_power_has_the_multinomial_amplitudes():
+    # by squaring, the last product has 15 x 153 = 2,295 pairs; every
+    # multinomial 20!/(a! b! c!) is an integer below 2^53, exact in doubles
+    value = evaluate_expression(parse_expression("(exp(i*x1)+exp(i*x2)+1)^20"),
+                                preset_params("moyal", 1.0))
+    assert len(value.terms) == math.comb(22, 2)
+    for t in value.terms:
+        a, b = (int(k.real) for k in t.wavevector)
+        assert t.wavevector == (a, b)
+        c = 20 - a - b
+        assert c >= 0
+        assert t.amplitude == math.factorial(20) // (
+            math.factorial(a) * math.factorial(b) * math.factorial(c))
 
 
 # -- equivalence map ---------------------------------------------------------
