@@ -11,6 +11,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -57,6 +58,13 @@ class SuiteResult:
         return max((c.max_error for c in self.checks), default=0.0)
 
 
+def _check(name: str, errors, tolerance: float, detail: str = "") -> CheckResult:
+    """The worst of one check's per-trial errors (0.0 for none) against its
+    tolerance."""
+    worst = reduce(max, errors, 0.0)
+    return CheckResult(name, worst, tolerance, worst <= tolerance, detail)
+
+
 # -- random instances -----------------------------------------------------
 
 
@@ -99,106 +107,74 @@ def random_wavesum(rng) -> WaveSum:
 # -- suites ----------------------------------------------------------------
 
 
+def _law_errors(params, f, g, h) -> tuple[float, float, float, float]:
+    """Associativity, antisymmetry, Jacobi and Leibniz errors of one triple."""
+
+    def star(a, b):
+        return star_poly(a, b, params)
+
+    def bracket(a, b):
+        return star_commutator(a, b, params)
+
+    zero = Polynomial2.zero()
+    gh, f_g = star(g, h), bracket(f, g)  # [f, g] enters three laws
+    return (
+        star(star(f, g), h).max_diff(star(f, gh)),
+        (f_g + bracket(g, f)).max_diff(zero),
+        (bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) + bracket(h, f_g)).max_diff(zero),
+        bracket(f, gh).max_diff(star(f_g, h) + star(g, bracket(f, h))),
+    )
+
+
 def algebra_suite(seed: int = 0, commutator_trials: int = 100, law_trials: int = 200) -> SuiteResult:
     """Deformed-commutator invariance plus the star-bracket laws."""
     rng = np.random.default_rng(seed)
+    thetas = (0.1, 1.0, 2.0)
+    commutator_params = [random_params(rng, theta=thetas[k % 3]) for k in range(commutator_trials)]
+    triples = [
+        (random_params(rng), random_polynomial(rng), random_polynomial(rng), random_polynomial(rng))
+        for _ in range(law_trials)
+    ]
+
     x1 = Polynomial2.variable("x1")
     x2 = Polynomial2.variable("x2")
-
-    worst_comm = 0.0
-    thetas = (0.1, 1.0, 2.0)
-    for k in range(commutator_trials):
-        params = random_params(rng, theta=thetas[k % 3])
-        target = Polynomial2.constant(1j * params.theta)
-        worst_comm = max(worst_comm, star_commutator(x1, x2, params).max_diff(target))
-
-    worst_assoc = worst_anti = worst_jacobi = worst_leibniz = 0.0
-    for _ in range(law_trials):
-        params = random_params(rng)
-        f = random_polynomial(rng)
-        g = random_polynomial(rng)
-        h = random_polynomial(rng)
-        fg = star_poly(f, g, params)
-        gh = star_poly(g, h, params)
-        worst_assoc = max(
-            worst_assoc, star_poly(fg, h, params).max_diff(star_poly(f, gh, params))
-        )
-        worst_anti = max(
-            worst_anti,
-            (star_commutator(f, g, params) + star_commutator(g, f, params)).max_diff(
-                Polynomial2.zero()
-            ),
-        )
-        jac = (
-            star_commutator(f, star_commutator(g, h, params), params)
-            + star_commutator(g, star_commutator(h, f, params), params)
-            + star_commutator(h, star_commutator(f, g, params), params)
-        )
-        worst_jacobi = max(worst_jacobi, jac.max_diff(Polynomial2.zero()))
-        lhs = star_commutator(f, gh, params)
-        rhs = star_poly(star_commutator(f, g, params), h, params) + star_poly(
-            g, star_commutator(f, h, params), params
-        )
-        worst_leibniz = max(worst_leibniz, lhs.max_diff(rhs))
-
-    checks = (
-        CheckResult(
-            "commutator-invariance",
-            worst_comm,
-            1e-12,
-            worst_comm <= 1e-12,
-            f"[x1, x2] = i theta over {commutator_trials} random Phi, theta in {thetas}",
-        ),
-        CheckResult("associativity", worst_assoc, 1e-10, worst_assoc <= 1e-10,
-                    f"{law_trials} random triples, degree <= 4"),
-        CheckResult("antisymmetry", worst_anti, 1e-10, worst_anti <= 1e-10, ""),
-        CheckResult("jacobi", worst_jacobi, 1e-10, worst_jacobi <= 1e-10, ""),
-        CheckResult("leibniz", worst_leibniz, 1e-10, worst_leibniz <= 1e-10, ""),
-    )
-    return SuiteResult("algebra", seed, checks)
+    laws = [_law_errors(*triple) for triple in triples]
+    return SuiteResult("algebra", seed, (
+        _check("commutator-invariance",
+               (star_commutator(x1, x2, p).max_diff(Polynomial2.constant(1j * p.theta))
+                for p in commutator_params),
+               1e-12, f"[x1, x2] = i theta over {commutator_trials} random Phi, theta in {thetas}"),
+        _check("associativity", [e[0] for e in laws], 1e-10,
+               f"{law_trials} random triples, degree <= 4"),
+        _check("antisymmetry", [e[1] for e in laws], 1e-10),
+        _check("jacobi", [e[2] for e in laws], 1e-10),
+        _check("leibniz", [e[3] for e in laws], 1e-10),
+    ))
 
 
 def equivalence_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
     """T(f *_M g) = T(f) * T(g) on plane waves and polynomials, plus the
     exact Moyal/Voros reductions of the z-frame kernel coefficients."""
     rng = np.random.default_rng(seed)
+    waves = [(random_params(rng), random_wavesum(rng), random_wavesum(rng)) for _ in range(trials)]
+    polys = [(random_params(rng), random_polynomial(rng), random_polynomial(rng))
+             for _ in range(trials)]
 
-    worst_wave = 0.0
-    for _ in range(trials):
-        params = random_params(rng)
-        f = random_wavesum(rng)
-        g = random_wavesum(rng)
-        worst_wave = max(worst_wave, equivalence_residual(f, g, params))
+    def kernel_errors(preset, reduced):
+        for theta in (0.1, 0.5, 1.0, 2.0):
+            kernel = star_kernel(COMPLEX, preset_params(preset, theta))
+            yield max(abs(a - b) for a, b in zip(kernel, reduced))
 
-    worst_poly = 0.0
-    for _ in range(trials):
-        params = random_params(rng)
-        f = random_polynomial(rng)
-        g = random_polynomial(rng)
-        worst_poly = max(worst_poly, poly_equivalence_residual(f, g, params))
-
-    worst_moyal = worst_voros = 0.0
-    for theta in (0.1, 0.5, 1.0, 2.0):
-        cm = star_kernel(COMPLEX, preset_params("moyal", theta))
-        cv = star_kernel(COMPLEX, preset_params("voros", theta))
-        worst_moyal = max(
-            worst_moyal, max(abs(a - b) for a, b in zip(cm, (0j, 0.5 + 0j, -0.5 + 0j, 0j)))
-        )
-        worst_voros = max(
-            worst_voros, max(abs(a - b) for a, b in zip(cv, (0j, 1.0 + 0j, 0j, 0j)))
-        )
-
-    checks = (
-        CheckResult("wave-equivalence", worst_wave, 1e-12, worst_wave <= 1e-12,
-                    f"{trials} random plane-wave pairs, random complex Phi"),
-        CheckResult("poly-equivalence", worst_poly, 1e-10, worst_poly <= 1e-10,
-                    f"{trials} random polynomial pairs, degree <= 4"),
-        CheckResult("moyal-coefficients", worst_moyal, 1e-15, worst_moyal <= 1e-15,
-                    "z-frame kernel reduces to (0, 1/2, -1/2, 0)"),
-        CheckResult("voros-coefficients", worst_voros, 1e-15, worst_voros <= 1e-15,
-                    "z-frame kernel reduces to (0, 1, 0, 0)"),
-    )
-    return SuiteResult("equivalence", seed, checks)
+    return SuiteResult("equivalence", seed, (
+        _check("wave-equivalence", (equivalence_residual(f, g, p) for p, f, g in waves), 1e-12,
+               f"{trials} random plane-wave pairs, random complex Phi"),
+        _check("poly-equivalence", (poly_equivalence_residual(f, g, p) for p, f, g in polys), 1e-10,
+               f"{trials} random polynomial pairs, degree <= 4"),
+        _check("moyal-coefficients", kernel_errors("moyal", (0j, 0.5 + 0j, -0.5 + 0j, 0j)), 1e-15,
+               "z-frame kernel reduces to (0, 1/2, -1/2, 0)"),
+        _check("voros-coefficients", kernel_errors("voros", (0j, 1.0 + 0j, 0j, 0j)), 1e-15,
+               "z-frame kernel reduces to (0, 1, 0, 0)"),
+    ))
 
 
 def _hope_amplitude(params: DeformationParams, p: complex, q: complex) -> complex:
@@ -219,69 +195,47 @@ def _hope_amplitude(params: DeformationParams, p: complex, q: complex) -> comple
     return gauss * cmath.exp((1j / 8.0) * (c1 * qb * pb + c2 * pb * q + c3 * p * qb + c4 * q * p))
 
 
+def _diagonal(family: str, params: DeformationParams, grid) -> list[tuple[float, float, complex]]:
+    """roi_diagonal's (p1, p2, amplitude) columns as a list of points."""
+    return list(zip(*(column.tolist() for column in roi_diagonal(family, params, grid))))
+
+
 def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
     """Resolution-of-identity amplitudes on momentum grids."""
     rng = np.random.default_rng(seed)
+    draws = [(random_params(rng), complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+             for _ in range(50)]
+
     grid = np.linspace(-2.0, 2.0, grid_points)
-
     moyal = preset_params("moyal", 1.0)
-    worst_pos_moyal = 0.0
-    for amp in roi_diagonal("position", moyal, grid)[2].tolist():
-        worst_pos_moyal = max(worst_pos_moyal, abs(amp - 1.0))
-
-    non_moyal = (
-        make_params(1.0, phi11=0.2, phi22=0.2),
-        make_params(1.0, phi12=0.3),
-        preset_params("voros", 1.0),
-    )
-    worst_pos_generic = 0.0
-    least_deviation = math.inf
-    for params in non_moyal:
-        dev = 0.0
-        p1s, p2s, amps = roi_diagonal("position", params, grid)
-        for p1, p2, amp in zip(p1s.tolist(), p2s.tolist(), amps.tolist()):
-            predicted = cmath.exp(0.5j * params.phi_quadratic(p1, p2))
-            worst_pos_generic = max(worst_pos_generic, abs(amp - predicted))
-            dev = max(dev, abs(amp - 1.0))
-        least_deviation = min(least_deviation, dev)
-
     voros = preset_params("voros", 1.0)
-    worst_coh_voros = 0.0
-    for amp in roi_diagonal("coherent", voros, grid)[2].tolist():
-        worst_coh_voros = max(worst_coh_voros, abs(amp - 1.0))
+    non_moyal = (make_params(1.0, phi11=0.2, phi22=0.2), make_params(1.0, phi12=0.3), voros)
+    generic = [(params, _diagonal("position", params, grid)) for params in non_moyal]
+    least_deviation = min(reduce(max, (abs(amp - 1.0) for _, _, amp in points), 0.0)
+                          for _, points in generic)
 
-    worst_coh_moyal = 0.0
-    p1s, p2s, amps = roi_diagonal("coherent", moyal, grid)
-    for p1, p2, amp in zip(p1s.tolist(), p2s.tolist(), amps.tolist()):
-        p = complex(p1, p2)
-        worst_coh_moyal = max(
-            worst_coh_moyal, abs(amp - math.exp(-moyal.theta * abs(p) ** 2 / 2.0))
-        )
-
-    worst_hope = 0.0
-    for _ in range(50):
-        params = random_params(rng)
-        p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        worst_hope = max(
-            worst_hope, abs(coherent_roi_amplitude(params, p, p) - _hope_amplitude(params, p, p))
-        )
-
-    checks = (
-        CheckResult("position-moyal-resolves", worst_pos_moyal, 1e-12, worst_pos_moyal <= 1e-12,
-                    f"diagonal amplitude = 1 on {grid_points}x{grid_points} grid in [-2,2]^2"),
-        CheckResult("position-generic-amplitude", worst_pos_generic, 1e-12,
-                    worst_pos_generic <= 1e-12,
-                    "diagonal amplitude = exp((i/2) Phi_ij p_i p_j) for 3 non-zero Phi; "
-                    f"each deviates from identity by >= {least_deviation:.3e} somewhere "
-                    "(non-resolution)"),
-        CheckResult("coherent-voros-resolves", worst_coh_voros, 1e-12, worst_coh_voros <= 1e-12,
-                    f"diagonal amplitude = 1 on {grid_points}x{grid_points} grid"),
-        CheckResult("coherent-moyal-gaussian", worst_coh_moyal, 1e-12, worst_coh_moyal <= 1e-12,
-                    "diagonal amplitude = exp(-theta |p|^2 / 2) (non-resolution)"),
-        CheckResult("coherent-generic-closedform", worst_hope, 1e-12, worst_hope <= 1e-12,
-                    "engine path agrees with direct closed-form substitution"),
-    )
-    return SuiteResult("roi", seed, checks)
+    return SuiteResult("roi", seed, (
+        _check("position-moyal-resolves",
+               (abs(amp - 1.0) for _, _, amp in _diagonal("position", moyal, grid)), 1e-12,
+               f"diagonal amplitude = 1 on {grid_points}x{grid_points} grid in [-2,2]^2"),
+        _check("position-generic-amplitude",
+               (abs(amp - cmath.exp(0.5j * params.phi_quadratic(p1, p2)))
+                for params, points in generic for p1, p2, amp in points), 1e-12,
+               "diagonal amplitude = exp((i/2) Phi_ij p_i p_j) for 3 non-zero Phi; "
+               f"each deviates from identity by >= {least_deviation:.3e} somewhere "
+               "(non-resolution)"),
+        _check("coherent-voros-resolves",
+               (abs(amp - 1.0) for _, _, amp in _diagonal("coherent", voros, grid)), 1e-12,
+               f"diagonal amplitude = 1 on {grid_points}x{grid_points} grid"),
+        _check("coherent-moyal-gaussian",
+               (abs(amp - math.exp(-moyal.theta * abs(complex(p1, p2)) ** 2 / 2.0))
+                for p1, p2, amp in _diagonal("coherent", moyal, grid)), 1e-12,
+               "diagonal amplitude = exp(-theta |p|^2 / 2) (non-resolution)"),
+        _check("coherent-generic-closedform",
+               (abs(coherent_roi_amplitude(params, p, p) - _hope_amplitude(params, p, p))
+                for params, p in draws), 1e-12,
+               "engine path agrees with direct closed-form substitution"),
+    ))
 
 
 def random_interior_state(rng, dim: int) -> FockOp:
@@ -293,69 +247,58 @@ def random_interior_state(rng, dim: int) -> FockOp:
     return FockOp(dim, m)
 
 
+def _heisenberg_errors(theta: float, psi: FockOp) -> list[float]:
+    """Entrywise error of [A, B] psi = c psi over the six (A, B, c)."""
+    ops = quantum_ops(make_params(theta), psi.dim)
+    table = (
+        (ops.X1, ops.X2, 1j * theta),
+        (ops.X1, ops.P1, 1j),
+        (ops.X2, ops.P2, 1j),
+        (ops.P1, ops.P2, 0.0),
+        (ops.X1, ops.P2, 0.0),
+        (ops.X2, ops.P1, 0.0),
+    )
+    return [float(np.max(np.abs((a(b(psi)) - b(a(psi))).matrix - (c * psi).matrix)))
+            for a, b, c in table]
+
+
 def fock_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
     """Truncated Fock-space cross-checks against the closed forms, at
     truncation N = 64."""
     rng = np.random.default_rng(seed)
     dim = 64
 
-    worst_overlap = 0.0
-    for k in range(trials):
-        theta = (1.0, 2.0)[k % 2]
-        z = cmath.rect(rng.uniform(0, 1.0), rng.uniform(0, 2 * math.pi))
-        p = cmath.rect(rng.uniform(0, 2.0), rng.uniform(0, 2 * math.pi))
-        worst_overlap = max(worst_overlap, overlap_vs_closedform(z, p, theta, dim).abs_error)
+    def disc(radius):
+        return cmath.rect(rng.uniform(0, radius), rng.uniform(0, 2 * math.pi))
 
-    z0, p0, t0 = 0.7 + 0.2j, 1.6 - 1.0j, 2.0
-    errs = []
-    for n in (16, 32, 64):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            errs.append(overlap_vs_closedform(z0, p0, t0, n).abs_error)
-    conv_ok = all(
-        errs[i + 1] <= 1.1 * errs[i] + CONVERGENCE_FLOOR for i in range(len(errs) - 1)
-    )
-    conv_err = max(0.0, *(errs[i + 1] - 1.1 * errs[i] - CONVERGENCE_FLOOR for i in range(2)))
+    overlaps = [(disc(1.0), disc(2.0), (1.0, 2.0)[k % 2]) for k in range(trials)]
+    states = [(theta, random_interior_state(rng, dim)) for theta in (0.5, 1.0, 2.0)]
+    pairs = [(disc(1.0), disc(1.0)) for _ in range(trials)]
 
-    worst_heis = 0.0
-    params = make_params(1.0)
-    for theta in (0.5, 1.0, 2.0):
-        params = make_params(theta)
-        ops = quantum_ops(params, dim)
-        psi = random_interior_state(rng, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        errs = [overlap_vs_closedform(0.7 + 0.2j, 1.6 - 1.0j, 2.0, n).abs_error
+                for n in (16, 32, 64)]
+    steps = list(zip(errs, errs[1:]))
 
-        def comm(a, b, psi=psi):
-            return a(b(psi)) - b(a(psi))
-
-        pairs = (
-            (comm(ops.X1, ops.X2), 1j * theta * psi),
-            (comm(ops.X1, ops.P1), 1j * psi),
-            (comm(ops.X2, ops.P2), 1j * psi),
-            (comm(ops.P1, ops.P2), 0.0 * psi),
-            (comm(ops.X1, ops.P2), 0.0 * psi),
-            (comm(ops.X2, ops.P1), 0.0 * psi),
-        )
-        for got, want in pairs:
-            worst_heis = max(worst_heis, float(np.max(np.abs(got.matrix - want.matrix))))
-
-    worst_coh = 0.0
-    for _ in range(trials):
-        z = cmath.rect(rng.uniform(0, 1.0), rng.uniform(0, 2 * math.pi))
-        zp = cmath.rect(rng.uniform(0, 1.0), rng.uniform(0, 2 * math.pi))
-        got = hs_inner(coherent_projector(zp, dim), coherent_projector(z, dim))
-        worst_coh = max(worst_coh, abs(got - cmath.exp(-abs(z - zp) ** 2)))
-
-    checks = (
-        CheckResult("overlap-closedform", worst_overlap, 1e-6, worst_overlap <= 1e-6,
-                    f"{trials} random (z, p), |z| <= 1, |p| <= 2, theta in (1, 2), N = {dim}"),
-        CheckResult("overlap-convergence", conv_err, 0.0, conv_ok,
+    return SuiteResult("fock", seed, (
+        _check("overlap-closedform",
+               (overlap_vs_closedform(z, p, theta, dim).abs_error for z, p, theta in overlaps),
+               1e-6, f"{trials} random (z, p), |z| <= 1, |p| <= 2, theta in (1, 2), N = {dim}"),
+        # not _check: "each error at most 1.1 times the last, plus the floor" is not
+        # the same float test as "excess <= 0"
+        CheckResult("overlap-convergence",
+                    max(0.0, *(b - 1.1 * a - CONVERGENCE_FLOOR for a, b in steps)), 0.0,
+                    all(b <= 1.1 * a + CONVERGENCE_FLOOR for a, b in steps),
                     "errors at N = 16, 32, 64: " + ", ".join(f"{e:.2e}" for e in errs)),
-        CheckResult("heisenberg-interior", worst_heis, 1e-12, worst_heis <= 1e-12,
-                    "all six commutators on interior-supported states"),
-        CheckResult("coherent-overlap", worst_coh, 1e-10, worst_coh <= 1e-10,
-                    "hs_inner of projectors = exp(-|z - z'|^2)"),
-    )
-    return SuiteResult("fock", seed, checks)
+        _check("heisenberg-interior",
+               (e for theta, psi in states for e in _heisenberg_errors(theta, psi)), 1e-12,
+               "all six commutators on interior-supported states"),
+        _check("coherent-overlap",
+               (abs(hs_inner(coherent_projector(zp, dim), coherent_projector(z, dim))
+                    - cmath.exp(-abs(z - zp) ** 2)) for z, zp in pairs), 1e-10,
+               "hs_inner of projectors = exp(-|z - z'|^2)"),
+    ))
 
 
 #: suite name -> (the keywords its trial count sets, its runner); each
@@ -372,16 +315,19 @@ _SUITES = {
 def run_suites(names=SUITE_NAMES, seed: int = 0, trials: int | None = None) -> list[SuiteResult]:
     """Run the named suites.  trials = None keeps each suite's pinned
     default counts (100 commutator draws, 200 law triples, 100 pairs,
-    20 Fock points).  A negative seed or trials < 1 raises
-    ValidationError: no suite would check anything at trials = 0."""
+    20 Fock points).  An unknown name, a negative seed or trials < 1
+    raises ValidationError before any suite runs: no suite would check
+    anything at trials = 0."""
+    names = tuple(names)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if trials is not None and trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials!r}")
-    out = []
     for name in names:
         if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+            raise ValidationError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    out = []
+    for name in names:
         keys, run = _SUITES[name]
         out.append(run(seed=seed, **({} if trials is None else dict.fromkeys(keys, trials))))
     return out

@@ -3,8 +3,8 @@
 perfbench lives outside this suite's test paths, so a change that renames
 or drops a traced function would otherwise only show when the benchmark
 runs.  This reads perfbench's span table, runs its tracer over the golden
-scenarios and the suites, and runs one roi_kernels and one big_operands
-cycle through its job checks; it changes nothing there.
+scenarios and the suites, and runs one cycle of each workload through its
+job checks; it changes nothing there.
 """
 
 import importlib
@@ -96,6 +96,17 @@ def test_one_big_operands_cycle_passes_perfbench_checks(monkeypatch):
     assert len(jobs) == 15
     assert {"df": 13, "dg": 14} in [{k: job[k] for k in ("df", "dg")} for job in jobs
                                     if job["kind"] == "dense_poly"]
+    for job in jobs:
+        inputs = workloads.prepare(job)
+        output = workloads.run(job, inputs)
+        assert workloads.check(job, inputs, output) is None, job
+
+
+def test_one_verify_suites_cycle_passes_perfbench_checks(monkeypatch):
+    # perfbench's job check requires the suites' check names to equal its
+    # EXPECTED_CHECKS, so a renamed, added or dropped check fails here too
+    workloads, jobs = _cycle(monkeypatch, "verify_suites")
+    assert [job["kind"] for job in jobs] == ["verify"]
     for job in jobs:
         inputs = workloads.prepare(job)
         output = workloads.run(job, inputs)

@@ -600,3 +600,35 @@ def test_commutator_jacobi_and_leibniz(seed):
         g, star_commutator(f, h, params), params
     )
     assert lhs.max_diff(rhs) < 1e-10
+
+
+def test_conj_f_star_f_is_nonnegative_exactly_for_gaussian_covariances():
+    # conj(f) * f >= 0 for every f when Phi = -iM with M > 0 and det M >= theta^2,
+    # the Gaussian covariance conditions (Simon, Mukunda and Dutta, 1994).  Off
+    # them it fails: on M = lambda theta Id, f = x1 + i x2 vanishes at 0 and
+    # conj(f) * f takes -(1 - lambda) theta there
+    theta = 0.8
+    x1, x2 = Polynomial2.variable("x1"), Polynomial2.variable("x2")
+    for lam in (0.0, 0.5, 0.9, 1.0, 1.5):
+        params = make_params(theta, phi11=-1j * lam * theta, phi22=-1j * lam * theta)
+        product = star_poly(x1 - 1j * x2, x1 + 1j * x2, params)
+        assert product.coefficient(0, 0) == pytest.approx(-(1 - lam) * theta, abs=1e-15)
+
+    # M = nu theta R diag(e^r, e^-r) R^T has det M = (nu theta)^2; every third
+    # M lies on the boundary nu = 1
+    rng = np.random.default_rng(11)
+    monomials = [(n1, n2) for n1 in range(4) for n2 in range(4 - n1)]
+    for k in range(30):
+        nu = 1.0 if k % 3 == 0 else rng.uniform(1.0, 1.6)
+        r, angle = rng.uniform(-0.8, 0.8), rng.uniform(0.0, math.pi)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        m = nu * theta * rot @ np.diag([math.exp(r), math.exp(-r)]) @ rot.T
+        params = make_params(theta, phi11=-1j * m[0, 0], phi12=-1j * m[0, 1], phi22=-1j * m[1, 1])
+        coeffs = rng.uniform(-1, 1, (len(monomials), 2)) @ (1, 1j)
+        f = Polynomial2(dict(zip(monomials, coeffs)))
+        fbar = Polynomial2(dict(zip(monomials, coeffs.conj())))
+        product = star_poly(fbar, f, params)
+        values = np.array([product.evaluate(*point) for point in rng.uniform(-2, 2, (50, 2))])
+        scale = np.max(np.abs(values))
+        assert values.real.min() >= -1e-12 * scale, (k, values.real.min() / scale)
+        assert np.abs(values.imag).max() <= 1e-12 * scale, k

@@ -20,12 +20,14 @@ def test_all_suites_pass_at_defaults():
 
 
 def test_suites_are_deterministic_for_fixed_seed():
-    a = algebra_suite(seed=3, commutator_trials=20, law_trials=20)
-    b = algebra_suite(seed=3, commutator_trials=20, law_trials=20)
-    assert [c.max_error for c in a.checks] == [c.max_error for c in b.checks]
-    a = equivalence_suite(seed=3, trials=20)
-    b = equivalence_suite(seed=3, trials=20)
-    assert [c.max_error for c in a.checks] == [c.max_error for c in b.checks]
+    runs = (
+        lambda: algebra_suite(seed=3, commutator_trials=20, law_trials=20),
+        lambda: equivalence_suite(seed=3, trials=20),
+        lambda: roi_suite(seed=3, grid_points=7),
+        lambda: fock_suite(seed=3, trials=5),
+    )
+    for run in runs:
+        assert run() == run()
 
 
 def test_different_seeds_change_draws():
@@ -46,10 +48,17 @@ def test_roi_suite_reports_non_resolution_detail():
     assert by_name["coherent-voros-resolves"].passed
 
 
-@pytest.mark.parametrize("kw", [{"seed": -1}, {"trials": 0}, {"trials": -3}])
-def test_run_suites_rejects_negative_seed_and_empty_trials(kw):
+@pytest.mark.parametrize("kw", [{"seed": -1}, {"trials": 0}, {"trials": -3},
+                                {"names": ("algebra", "nope")}])
+def test_run_suites_rejects_negative_seed_and_empty_trials(kw, monkeypatch):
+    # every argument is checked before any suite runs
+    def fail(**_):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for name in SUITE_NAMES:
+        monkeypatch.setattr(f"genstar.suites.{name}_suite", fail)
     with pytest.raises(ValidationError):
-        run_suites(("equivalence",), **kw)
+        run_suites(**{"names": ("equivalence",), **kw})
 
 
 def test_run_suites_trials_none_keeps_pinned_counts():
