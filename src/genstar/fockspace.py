@@ -8,12 +8,16 @@ restricts to interior-supported states.
 
 b is one scaled superdiagonal, so nothing here multiplies or diagonalises
 a dense N x N matrix: the actions shift rows or columns by one level, and
-the momentum state comes from the SVD of an N/2 x N/2 block.
+the momentum state comes from the SVD of an N/2 x N/2 block.  That SVD
+depends on N only: it is computed once per N and kept for the 4 most
+recent N, at most 4 x 16 MiB at the largest N (2048).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -27,11 +31,23 @@ from .wavestar import coherent_momentum_overlap
 COHERENT_TAIL_TOL = 1e-12
 
 
-def _check_dim(dim: int) -> None:
+def _as_dim(dim) -> int:
+    """dim as a Python int >= 2; integers of any type, numpy's included."""
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise ValidationError(f"truncation dimension must be an integer, got {dim!r}") from None
     if dim < 2:
         raise ValidationError(f"truncation dimension must be >= 2, got {dim}")
+    return dim
+
+
+def _check_dim(dim) -> int:
+    """_as_dim(dim), once a dim x dim matrix fits the array bound."""
+    dim = _as_dim(dim)
     if dim * dim > _MAX_TENSOR:
         raise ValidationError(f"truncation dimension {dim} needs more than {_MAX_TENSOR} matrix entries")
+    return dim
 
 
 def _matrix_of(psi, dim: int) -> np.ndarray:
@@ -60,8 +76,7 @@ class FockOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValidationError(f"truncation dimension must be >= 2, got {self.dim}")
+        object.__setattr__(self, "dim", _as_dim(self.dim))
         # a copy: the caller keeps the array it passed, and may write to it
         matrix = np.array(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", _as_square(matrix, self.dim))
@@ -109,7 +124,7 @@ def ladder_ops(dim: int) -> tuple[FockOp, FockOp]:
     At finite truncation [b, bdag] equals the identity except in the last
     diagonal entry, which is 1 - dim.
     """
-    _check_dim(dim)
+    dim = _check_dim(dim)
     b = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
     return FockOp._owned(dim, b), FockOp._owned(dim, b.conj().T)
 
@@ -121,7 +136,7 @@ def coherent_vector(z, dim: int) -> np.ndarray:
     Warns when the truncated tail mass exp(-|z|^2)|z|^(2 dim)/dim! is not
     below 1e-12.
     """
-    _check_dim(dim)
+    dim = _check_dim(dim)
     z = _finite_complex("z", z)
     try:
         r2 = abs(z) ** 2  # below overflow, every component is finite
@@ -159,20 +174,31 @@ def hs_inner(phi: FockOp, psi: FockOp) -> complex:
     return complex(np.vdot(phi.matrix, psi.matrix))
 
 
+#: rows (or columns) per block of a ladder action's second shifted term
+_LADDER_BLOCK = 64
+
+
 def _ladder(m: np.ndarray, lower: complex, upper: complex, right: bool = False) -> np.ndarray:
     """(lower b + upper bdag) m, or m (lower b + upper bdag) when right: b
     moves level n + 1 to level n with weight sqrt(n + 1), so each term is m
-    shifted by one row (or column) and scaled."""
+    shifted by one row (or column) and scaled.  The second term is added
+    in blocks of _LADDER_BLOCK rows (columns), so no temporary is as large
+    as m."""
     s = np.sqrt(np.arange(1.0, len(m)))
     out = np.empty_like(m)
+    w = upper * s
     if right:  # (m b)[:, n] = sqrt(n) m[:, n - 1], (m bdag)[:, n] = sqrt(n + 1) m[:, n + 1]
         np.multiply(m[:, :-1], lower * s, out=out[:, 1:])
         out[:, 0] = 0.0
-        out[:, :-1] += m[:, 1:] * (upper * s)
+        for i in range(0, len(s), _LADDER_BLOCK):
+            j = min(i + _LADDER_BLOCK, len(s))
+            out[:, i:j] += m[:, i + 1 : j + 1] * w[i:j]
     else:  # (b m)[n] = sqrt(n + 1) m[n + 1], (bdag m)[n] = sqrt(n) m[n - 1]
         np.multiply(m[1:], (lower * s)[:, None], out=out[:-1])
         out[-1] = 0.0
-        out[1:] += m[:-1] * (upper * s)[:, None]
+        for i in range(0, len(s), _LADDER_BLOCK):
+            j = min(i + _LADDER_BLOCK, len(s))
+            out[i + 1 : j + 1] += m[i:j] * w[i:j, None]
     return out
 
 
@@ -226,8 +252,23 @@ class QuantumOps:
 def quantum_ops(params: DeformationParams, dim: int) -> QuantumOps:
     """Build the operator set at truncation dim; needs theta > 0."""
     t = _positive_theta(params.theta, "quantum operators need")
-    _check_dim(dim)
+    dim = _check_dim(dim)
     return QuantumOps(theta=t, dim=dim)
+
+
+@functools.lru_cache(maxsize=4)
+def _even_odd_svd(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (U, S, V^T) of the block C = H[even, odd] of H = b + bdag at
+    truncation dim, built directly: H[n - 1, n] = H[n, n - 1] = sqrt(n) is
+    C[n // 2, (n - 1) // 2].  U and V^T are at most 1024 x 1024 each, so a
+    cached dim holds at most 16 MiB."""
+    n = np.arange(1, dim)
+    block = np.zeros(((dim + 1) // 2, dim // 2))
+    block[n // 2, (n - 1) // 2] = np.sqrt(n)
+    factors = np.linalg.svd(block, full_matrices=False)
+    for a in factors:
+        a.flags.writeable = False
+    return tuple(factors)
 
 
 def momentum_state_op(p, theta, dim: int) -> FockOp:
@@ -243,10 +284,13 @@ def momentum_state_op(p, theta, dim: int) -> FockOp:
     and off-diagonal blocks i U sin(mu S) V^T and its transpose.  At odd dim
     the even level left out of U keeps cos(0) = 1.  The result is unitary up
     to the truncation edge.  Warns when theta |p|^2 > dim/4.
+
+    The SVD is computed once per dim and kept for the 4 most recent dims,
+    at most 4 x 16 MiB at the largest dim (2048).
     """
     t = _positive_theta(theta, "momentum states need")
     p = _finite_complex("p", p)
-    _check_dim(dim)
+    dim = _check_dim(dim)
     try:
         spread = t * abs(p) ** 2
     except OverflowError as exc:
@@ -259,8 +303,7 @@ def momentum_state_op(p, theta, dim: int) -> FockOp:
             stacklevel=2,
         )
     mu = math.sqrt(t / 2.0) * abs(p)
-    h = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    u, sigma, vt = np.linalg.svd((h + h.T)[::2, 1::2], full_matrices=False)
+    u, sigma, vt = _even_odd_svd(dim)
     half = 2.0 * np.sin(mu * sigma / 2.0) ** 2  # 1 - cos(mu sigma), without cancellation
     out = np.empty((dim, dim), dtype=complex)
     out[::2, ::2] = np.eye(len(u)) - (u * half) @ u.T

@@ -26,6 +26,7 @@ from genstar import (
     quantum_ops,
     star_poly,
 )
+from genstar.fockspace import _even_odd_svd
 from genstar.suites import random_interior_state
 
 
@@ -65,6 +66,31 @@ def test_dims_past_the_array_bound_are_refused_before_allocating(build):
         build(2049)
     with pytest.raises(ValidationError, match="truncation dimension 100000"):
         build(100000)
+
+
+@pytest.mark.parametrize("dim", [4.0, 4.5, "4", None, np.float64(4.0)],
+                         ids=["float", "fraction", "str", "None", "numpy_float"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        ladder_ops,
+        lambda dim: coherent_vector(0.5, dim),
+        lambda dim: coherent_projector(0.5, dim),
+        lambda dim: momentum_state_op(0.5, 1.0, dim),
+        lambda dim: quantum_ops(make_params(1.0), dim),
+        lambda dim: overlap_vs_closedform(0.3, 0.5, 1.0, dim),
+        lambda dim: FockOp(dim, np.eye(4)),
+    ],
+    ids=["ladder_ops", "coherent_vector", "coherent_projector", "momentum_state_op",
+         "quantum_ops", "overlap_vs_closedform", "FockOp"],
+)
+def test_non_integer_dims_are_refused(build, dim):
+    # 4.0 would share 4's cache entries, since hash(4.0) == hash(4)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build(dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        build(np.int32(4))  # numpy integers are integers
 
 
 def test_fockop_dim_mismatch():
@@ -230,9 +256,10 @@ def test_p_is_complex_combination():
     assert np.max(np.abs(ops.P(psi).matrix - combo)) < 1e-12
 
 
-@pytest.mark.parametrize("dim", [2, 3, 17, 64])
+@pytest.mark.parametrize("dim", [2, 3, 17, 64, 65, 66, 130])
 def test_actions_match_dense_ladder_products(dim):
-    # full-support states: an off-by-one shift at either edge shows here
+    # full-support states: an off-by-one shift at either edge shows here,
+    # and at the 64-level block edges from dim 65 on
     b, bd = (op.matrix for op in ladder_ops(dim))
     rng = np.random.default_rng(dim)
     for theta in (0.5, 1.0, 2.0):
@@ -321,6 +348,32 @@ def test_momentum_state_matches_scipy_expm():
             got = momentum_state_op(p, theta, dim).matrix
         want = math.sqrt(theta / (2 * math.pi)) * scipy.linalg.expm(1j * gen)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_even_odd_svd_is_the_svd_of_the_generator_block():
+    # the block is built directly; its SVD equals that of the block sliced
+    # out of the dense b + bdag, bit for bit
+    for dim in (2, 3, 17, 64, 65):
+        b, bd = ladder_ops(dim)
+        want = np.linalg.svd((b + bd).matrix.real[::2, 1::2], full_matrices=False)
+        for got, expected in zip(_even_odd_svd(dim), want):
+            assert got.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+
+
+def test_momentum_state_is_the_same_from_a_cold_or_warm_factorization():
+    dims = (2, 3, 17, 64, 65)
+    _even_odd_svd.cache_clear()
+    cold = {}
+    for dim in dims:
+        cold[dim] = momentum_state_op(0.3 - 0.2j, 1.3, dim).matrix
+        momentum_state_op(0.3 - 0.2j, 1.3, dim + 100)  # another dim in between
+        assert momentum_state_op(0.3 - 0.2j, 1.3, dim).matrix.tobytes() == cold[dim].tobytes()
+    info = _even_odd_svd.cache_info()
+    assert (info.hits, info.misses) == (len(dims), 2 * len(dims))
+    for dim in dims:  # the early dims were evicted, and are factored again
+        assert momentum_state_op(0.3 - 0.2j, 1.3, dim).matrix.tobytes() == cold[dim].tobytes()
 
 
 def test_momentum_state_unitary_up_to_normalization():

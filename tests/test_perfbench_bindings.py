@@ -3,8 +3,8 @@
 perfbench lives outside this suite's test paths, so a change that renames
 or drops a traced function would otherwise only show when the benchmark
 runs.  This reads perfbench's span table, runs its tracer over the golden
-scenarios and the suites, and runs one cycle of each workload through its
-job checks; it changes nothing there.
+scenarios, the suites and one big_operands cycle, and runs one cycle of
+each workload through its job checks; it changes nothing there.
 """
 
 import importlib
@@ -39,22 +39,29 @@ def test_traced_functions_resolve(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
 
 
-def _golden_reports():
+def _golden_reports(monkeypatch):
     for path in sorted((ROOT / "scenarios").glob("*.scn")):
         exprio.emit_report(exprio.run_scenario(exprio.load_scenario(path)), "json")
 
 
+def _big_operands_cycle(monkeypatch):
+    workloads, jobs = _cycle(monkeypatch, "big_operands")
+    for job in jobs:
+        workloads.run(job, workloads.prepare(job))
+
+
 @pytest.mark.parametrize("workload, run", [
     ("roi_kernels", _golden_reports),
-    ("verify_suites", lambda: suites.run_suites(trials=1)),
+    ("verify_suites", lambda monkeypatch: suites.run_suites(trials=1)),
+    ("big_operands", _big_operands_cycle),
 ])
-def test_tracer_records_every_layer_that_moves(workload, run):
+def test_tracer_records_every_layer_that_moves(workload, run, monkeypatch):
     # a traced function that some module captured at import time (say, in a
     # table) escapes the tracer's rebinding, and its span goes silent
     tracer = _tracing().Tracer(workload)
     try:
         tracer.install()
-        run()
+        run(monkeypatch)
     finally:
         tracer.uninstall()
     assert tracer.silent_spans(tracer.metrics()) == []

@@ -181,6 +181,23 @@ def test_complex_frame_star_voros():
     assert got.max_diff(want) < 1e-15
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_moyal_product_takes_normal_order_to_weyl_order(theta):
+    # zbar^m *_Moyal z^n is the Weyl symbol of bdag^m b^n, whose closed form
+    # is sum_k (-1/2)^k k! C(m,k) C(n,k) zbar^(m-k) z^(n-k); keys are (z, zbar)
+    # powers, and z is dimensionless, so theta does not enter
+    params = preset_params("moyal", theta)
+    for m in range(7):
+        for n in range(7):
+            got = star_poly(ZBAR**m, Z**n, params)
+            want = {(n - k, m - k): (-0.5) ** k * math.factorial(k) * math.comb(m, k) * math.comb(n, k)
+                    for k in range(min(m, n) + 1)}
+            assert got.frame == COMPLEX
+            assert got.terms.keys() == want.keys(), (m, n)
+            for key, c in want.items():
+                assert abs(got.coefficient(*key) - c) <= 1e-15 * abs(c), (m, n, key)
+
+
 # -- commutator -----------------------------------------------------------
 
 
