@@ -7,10 +7,11 @@ algebra holds exactly away from the top two levels and every check below
 restricts to interior-supported states.
 
 b is one scaled superdiagonal, so nothing here multiplies or diagonalises
-a dense N x N matrix: the actions shift rows or columns by one level, and
-the momentum state comes from the SVD of an N/2 x N/2 block.  That SVD
-depends on N only: it is computed once per N and kept for the 4 most
-recent N, at most 4 x 16 MiB at the largest N (2048).
+a dense N x N matrix: the actions shift rows by one level (a right action
+is the transposed left action), and the momentum state comes from the SVD
+of an N/2 x N/2 block.  That SVD depends on N only: it is computed once
+per N and kept for the 4 most recent N, at most 4 x 16 MiB at the largest
+N (2048).
 """
 
 from __future__ import annotations
@@ -174,31 +175,25 @@ def hs_inner(phi: FockOp, psi: FockOp) -> complex:
     return complex(np.vdot(phi.matrix, psi.matrix))
 
 
-#: rows (or columns) per block of a ladder action's second shifted term
+#: rows per block of a ladder action's second shifted term
 _LADDER_BLOCK = 64
 
 
-def _ladder(m: np.ndarray, lower: complex, upper: complex, right: bool = False) -> np.ndarray:
-    """(lower b + upper bdag) m, or m (lower b + upper bdag) when right: b
-    moves level n + 1 to level n with weight sqrt(n + 1), so each term is m
-    shifted by one row (or column) and scaled.  The second term is added
-    in blocks of _LADDER_BLOCK rows (columns), so no temporary is as large
-    as m."""
+def _ladder(m: np.ndarray, lower: complex, upper: complex) -> np.ndarray:
+    """(lower b + upper bdag) m: b moves level n + 1 to level n with weight
+    sqrt(n + 1), so each term is m shifted by one row and scaled.  The
+    second term is added in blocks of _LADDER_BLOCK rows, so no temporary is
+    as large as m.  b and bdag are each other's transposes, so the right
+    action m (lower b + upper bdag) is _ladder(m.T, upper, lower).T."""
     s = np.sqrt(np.arange(1.0, len(m)))
     out = np.empty_like(m)
+    # (b m)[n] = sqrt(n + 1) m[n + 1], (bdag m)[n] = sqrt(n) m[n - 1]
+    np.multiply(m[1:], (lower * s)[:, None], out=out[:-1])
+    out[-1] = 0.0
     w = upper * s
-    if right:  # (m b)[:, n] = sqrt(n) m[:, n - 1], (m bdag)[:, n] = sqrt(n + 1) m[:, n + 1]
-        np.multiply(m[:, :-1], lower * s, out=out[:, 1:])
-        out[:, 0] = 0.0
-        for i in range(0, len(s), _LADDER_BLOCK):
-            j = min(i + _LADDER_BLOCK, len(s))
-            out[:, i:j] += m[:, i + 1 : j + 1] * w[i:j]
-    else:  # (b m)[n] = sqrt(n + 1) m[n + 1], (bdag m)[n] = sqrt(n) m[n - 1]
-        np.multiply(m[1:], (lower * s)[:, None], out=out[:-1])
-        out[-1] = 0.0
-        for i in range(0, len(s), _LADDER_BLOCK):
-            j = min(i + _LADDER_BLOCK, len(s))
-            out[i + 1 : j + 1] += m[i:j] * w[i:j, None]
+    for i in range(0, len(s), _LADDER_BLOCK):
+        j = min(i + _LADDER_BLOCK, len(s))
+        out[i + 1 : j + 1] += m[i:j] * w[i:j, None]
     return out
 
 
@@ -211,19 +206,24 @@ class QuantumOps:
     and b from the left; P1 psi = (1/theta)[x2, psi], P2 psi =
     -(1/theta)[x1, psi], and the complex combination acts as P psi =
     -i sqrt(2/theta)[b, psi].  hbar = 1.  Each product with a ladder
-    combination is a one-level shift of psi's rows (left) or columns
-    (right), O(N^2) work.
+    combination is a one-level shift of psi's rows, O(N^2) work; a right
+    action is the transposed left action, as b^T = bdag.  theta must be
+    finite and > 0, and dim an integer >= 2 within the array bound.
     """
 
     theta: float
     dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", _positive_theta(self.theta, "quantum operators need"))
+        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def _act(self, psi: FockOp, lower: complex, upper: complex, commute: bool = False) -> FockOp:
         """A psi, or [A, psi] when commute, for A = lower b + upper bdag."""
         m = _matrix_of(psi, self.dim)
         out = _ladder(m, lower, upper)
         if commute:
-            out -= _ladder(m, lower, upper, right=True)
+            out -= _ladder(m.T, upper, lower).T
         return FockOp._owned(self.dim, out)
 
     def X1(self, psi: FockOp) -> FockOp:
@@ -251,9 +251,7 @@ class QuantumOps:
 
 def quantum_ops(params: DeformationParams, dim: int) -> QuantumOps:
     """Build the operator set at truncation dim; needs theta > 0."""
-    t = _positive_theta(params.theta, "quantum operators need")
-    dim = _check_dim(dim)
-    return QuantumOps(theta=t, dim=dim)
+    return QuantumOps(params.theta, dim)
 
 
 @functools.lru_cache(maxsize=4)

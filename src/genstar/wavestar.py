@@ -17,12 +17,14 @@ coherent_roi_kernel is the position kernel transported that way.
 A private pair-array type, _Pairs, replays CPython's complex arithmetic
 step by step on float64 real and imaginary arrays (products as real pairs,
 a float widened to (x, 0.0), division as _Py_c_quot, np.exp for cmath.exp),
-so an expression written once (_pair_exponent, the star pair exponent) has
-the same bits on Python complex numbers and on arrays.  roi_diagonal
-evaluates a whole grid of diagonal RoI amplitudes that way, with K from
-star_kernel and the state weights from _coherent_state, so every amplitude
-has the bits of the scalar *_roi_amplitude functions, which stay the
-reference and handle the points at the edge of the float range.
+so the pair step written once (_pair: the amplitude product and the star
+pair factor exp(K_ab d_a e_b)) has the same bits on Python complex numbers
+and on arrays.  The scalar loop, the array products and roi_diagonal's
+grid all take their pairs through it.  roi_diagonal evaluates a whole grid
+of diagonal RoI amplitudes that way, with K from star_kernel and the state
+weights from _coherent_state, so every amplitude has the bits of the scalar
+*_roi_amplitude functions, which stay the reference and handle the points
+at the edge of the float range.
 
 Every WaveSum is canonical, by one rule (``_merge``): terms whose
 wavevector components fall in the same WVEC_TOL cells merge, each group's
@@ -37,9 +39,9 @@ makes that loop several times faster on the few-pair products of the
 suites and RoI kernels.  From _ARRAY_PAIRS on, every pair's exponent,
 factor and amplitude are formed at once on _Pairs, and _merge_sorted
 groups the pairs by one sort on the same cell keys, taking math.fsum over
-each group of more than one.  On a 2-CPU x86 host the two cost the same
-at about 100 pairs when the pairs merge (integer lattices) and about 225
-when they do not.
+each group of more than one.  On a 2-CPU x86 host (Python 3.11) the two
+cost the same at about 100-110 pairs when the pairs merge (integer
+lattices) and about 125-140 when they do not.
 A pair exponent past cmath.exp's unscaled range, a term that is not
 finite, or a merged sum that overflows sends the whole product back to the
 loop, so each error keeps its text and its first failing pair.
@@ -58,6 +60,8 @@ from .deformation import (
     COMPLEX,
     FRAMES,
     DeformationParams,
+    _finite_complex,
+    _finite_real,
     _positive_theta,
     star_kernel,
 )
@@ -339,11 +343,33 @@ class _Pairs:
         return _Pairs(z.real, z.imag)
 
 
-def _pair_exponent(k, d, e):
-    """The star pair exponent K_ab d_a e_b, on complex numbers or _Pairs: the
-    one writer of its operation order, and so of its bits."""
-    k11, k12, k21, k22 = k
-    return k11 * d[0] * e[0] + k12 * d[0] * e[1] + k21 * d[1] * e[0] + k22 * d[1] * e[1]
+def _exp(phase, what: str):
+    """cmath.exp(phase), or a ValidationError saying that `what` overflows."""
+    try:
+        return cmath.exp(phase)
+    except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
+        raise ValidationError(f"{what} exp({phase:.6g}) overflows") from exc
+
+
+def _pair_factor(phase):
+    return _exp(phase, "star_wave: the pair factor")
+
+
+def _pair(kernel, frame: str, left, right, exp):
+    """One pair step of a product, on terms (amplitude, k1, k2) given as
+    complex numbers or as _Pairs that broadcast: the amplitude product times
+    exp(K_ab d_a e_b) when kernel is K, the summed wavevector and the pair
+    exponent (None without a kernel); d and e are the two terms'
+    _eigenvalues, and exp is the function that takes the exponent.  The one
+    writer of the pair step's operation order, and so of its bits."""
+    (a, s1, s2), (b, t1, t2) = left, right
+    amplitude, exponent = a * b, None
+    if kernel is not None:
+        k11, k12, k21, k22 = kernel
+        (d1, d2), (e1, e2) = _eigenvalues(frame, s1, s2), _eigenvalues(frame, t1, t2)
+        exponent = k11 * d1 * e1 + k12 * d1 * e2 + k21 * d2 * e1 + k22 * d2 * e2
+        amplitude = amplitude * exp(exponent)
+    return amplitude, (s1 + t1, s2 + t2), exponent
 
 
 def _columns(terms, shape):
@@ -359,27 +385,13 @@ def _columns(terms, shape):
 
 def _scalar_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     """_product one pair at a time, s in f outermost."""
-    right = [(t, _eigenvalues(g.frame, *t.wavevector)) for t in g.terms]
+    right = [(t.amplitude, *t.wavevector) for t in g.terms]
     out = []
     for s in f.terms:
-        d = _eigenvalues(f.frame, *s.wavevector)
-        for t, e in right:
-            amplitude = s.amplitude * t.amplitude
-            if kernel is not None:
-                phase = _pair_exponent(kernel, d, e)
-                try:
-                    amplitude = amplitude * cmath.exp(phase)
-                except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
-                    raise ValidationError(
-                        f"star_wave: the pair factor exp({phase:.6g}) overflows"
-                    ) from exc
-            out.append(
-                ExpLinearTerm(
-                    amplitude,
-                    f.frame,
-                    (s.wavevector[0] + t.wavevector[0], s.wavevector[1] + t.wavevector[1]),
-                )
-            )
+        left = (s.amplitude, *s.wavevector)
+        for t in right:
+            amplitude, wavevector, _ = _pair(kernel, f.frame, left, t, _pair_factor)
+            out.append(ExpLinearTerm(amplitude, f.frame, wavevector))
     return WaveSum(tuple(out), f.frame)
 
 
@@ -393,16 +405,11 @@ def _array_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum | None:
     left, right = _columns(f.terms, (-1, 1)), _columns(g.terms, (1, -1))
     if left is None or right is None:
         return None
-    (a, s1, s2), (b, t1, t2) = left, right
     with np.errstate(over="ignore", invalid="ignore"):
-        amplitude = a * b
-        if kernel is not None:
-            exponent = _pair_exponent(kernel, _eigenvalues(f.frame, s1, s2),
-                                      _eigenvalues(g.frame, t1, t2))
-            if not (np.isfinite(exponent.re).all() and (exponent.re <= 708.0).all()):
-                return None
-            amplitude = amplitude * exponent.exp()
-        k1, k2 = s1 + t1, s2 + t2
+        amplitude, (k1, k2), exponent = _pair(kernel, f.frame, left, right, _Pairs.exp)
+        if exponent is not None and not (np.isfinite(exponent.re).all()
+                                         and (exponent.re <= 708.0).all()):
+            return None
         wv = np.stack([k1.re, k1.im, k2.re, k2.im]).reshape(4, -1)
         re, im = amplitude.re.ravel(), amplitude.im.ravel()
         if not (np.isfinite(wv).all() and np.isfinite(re).all() and np.isfinite(im).all()):
@@ -445,11 +452,7 @@ def tmap_wave(f: WaveSum, params: DeformationParams) -> WaveSum:
         raise FrameMismatchError("the equivalence map acts on cartesian plane waves")
     out = []
     for t in f.terms:
-        phase = -0.25j * params.phi_quadratic(*t.wavevector)
-        try:
-            factor = cmath.exp(phase)
-        except OverflowError as exc:
-            raise ValidationError(f"tmap_wave: the factor exp({phase:.6g}) overflows") from exc
+        factor = _exp(-0.25j * params.phi_quadratic(*t.wavevector), "tmap_wave: the factor")
         out.append(ExpLinearTerm(t.amplitude * factor, CARTESIAN, t.wavevector))
     return WaveSum(tuple(out), CARTESIAN)
 
@@ -540,10 +543,14 @@ def plane_integral_z(f: WaveSum) -> DeltaTerm:
 # -- state overlaps and resolution-of-identity amplitudes ----------------
 
 
+def _point(name: str, v) -> tuple[float, float]:
+    """The two finite real coordinates of the point v."""
+    return _finite_real(f"{name}[0]", v[0]), _finite_real(f"{name}[1]", v[1])
+
+
 def overlap_px(p, x) -> complex:
     """Momentum/position-state overlap (1/2 pi) exp(-i p.x)."""
-    p1, p2 = float(p[0]), float(p[1])
-    x1, x2 = float(x[0]), float(x[1])
+    (p1, p2), (x1, x2) = _point("p", p), _point("x", x)
     return cmath.exp(-1j * (p1 * x1 + p2 * x2)) / TWO_PI
 
 
@@ -556,8 +563,7 @@ def position_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     + theta(p1 p2' - p2 p1')]); the identity is resolved iff the diagonal
     amplitude is 1, which happens exactly at Phi = 0.
     """
-    p1, p2 = float(p[0]), float(p[1])
-    q1, q2 = float(pprime[0]), float(pprime[1])
+    (p1, p2), (q1, q2) = _point("p", p), _point("pprime", pprime)
     bra = WaveSum.plane_wave(-p1, -p2, amplitude=1.0 / TWO_PI)  # (p|x) as a function of x
     ket = WaveSum.plane_wave(q1, q2, amplitude=1.0 / TWO_PI)  # (x|p')
     delta = plane_integral_cartesian(star_wave(bra, ket, params))
@@ -582,8 +588,7 @@ def _coherent_state(theta, *momenta) -> tuple[float, float, list[complex]]:
 def coherent_momentum_overlap(z, p, theta) -> complex:
     """Closed-form coherent/momentum-state overlap:
     sqrt(theta/2 pi) exp(-theta |p|^2 / 4) exp(i sqrt(theta/2)(p zbar + pbar z))."""
-    z = complex(z)
-    p = complex(p)
+    z, p = _finite_complex("z", z), _finite_complex("p", p)
     _, s, (weight,) = _coherent_state(theta, p)
     return weight * cmath.exp(1j * s * (p * z.conjugate() + p.conjugate() * z))
 
@@ -596,8 +601,7 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     integrated distributionally; only the diagonal p = p' carries the
     identity-resolution verdict.  Voros parameters give exactly 1.
     """
-    p = complex(p)
-    q = complex(pprime)
+    p, q = _finite_complex("p", p), _finite_complex("pprime", pprime)
     t, s, (bra_weight, ket_weight) = _coherent_state(params.theta, q, p)
     # (p'|z,zbar) = conj[(z,zbar|p')] and (z,zbar|p), as functions of (z, zbar)
     bra = WaveSum.z_exponential(-1j * s * q.conjugate(), -1j * s * q, amplitude=bra_weight)
@@ -607,27 +611,24 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     return delta.amplitude / (2.0 * t)
 
 
-def _position_grid(params: DeformationParams, p1, p2) -> tuple[_Pairs, _Pairs]:
-    """position_roi_amplitude at every (p1, p2), step by step: the amplitude
-    and the star pair exponent."""
-    amplitude = complex(1.0 / TWO_PI)  # each state's amplitude, as WaveSum stores it
-    bra, ket = (_Pairs(-p1, 0.0), _Pairs(-p2, 0.0)), (_Pairs(p1, 0.0), _Pairs(p2, 0.0))
-    exponent = _pair_exponent(star_kernel(CARTESIAN, params),
-                              [1j * k for k in bra], [1j * k for k in ket])
-    return amplitude * amplitude * exponent.exp() * TWO_PI**2, exponent
-
-
-def _coherent_grid(params: DeformationParams, p1, p2) -> tuple[_Pairs, _Pairs]:
-    """coherent_roi_amplitude at every p = p1 + i p2, step by step: the
-    amplitude and the star pair exponent."""
-    t, s, weights = _coherent_state(params.theta, *map(complex, p1.tolist(), p2.tolist()))
-    weights = np.array(weights, dtype=complex)
-    weight = _Pairs(weights.real, weights.imag)
-    p = _Pairs(p1, p2)
-    bra = (-1j * s * p.conjugate(), -1j * s * p)
-    ket = (1j * s * p.conjugate(), 1j * s * p)
-    exponent = _pair_exponent(star_kernel(COMPLEX, params), bra, ket)
-    return weight * weight * exponent.exp() * 4.0 * math.pi / (2.0 * t), exponent
+def _roi_grid(which: str, params: DeformationParams, p1, p2) -> tuple[_Pairs, _Pairs]:
+    """position_roi_amplitude or coherent_roi_amplitude at every diagonal
+    point (p1, p2), step by step: the amplitude and the star pair exponent.
+    The two families differ only in their states and plane weights."""
+    if which == "position":
+        amplitude, frame = complex(1.0 / TWO_PI), CARTESIAN  # each state's amplitude, as stored
+        bra = (amplitude, _Pairs(-p1, 0.0), _Pairs(-p2, 0.0))
+        ket = (amplitude, _Pairs(p1, 0.0), _Pairs(p2, 0.0))
+    else:
+        t, s, weights = _coherent_state(params.theta, *map(complex, p1.tolist(), p2.tolist()))
+        weights = np.array(weights, dtype=complex)
+        weight, p, frame = _Pairs(weights.real, weights.imag), _Pairs(p1, p2), COMPLEX
+        bra = (weight, -1j * s * p.conjugate(), -1j * s * p)
+        ket = (weight, 1j * s * p.conjugate(), 1j * s * p)
+    amplitude, _, exponent = _pair(star_kernel(frame, params), frame, bra, ket, _Pairs.exp)
+    if which == "position":
+        return amplitude * TWO_PI**2, exponent
+    return amplitude * 4.0 * math.pi / (2.0 * t), exponent
 
 
 def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndarray, ...]:
@@ -643,10 +644,9 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
     scalar error.  The first point is always checked against it.
     """
     if which == "position":
-        grid, scalar = _position_grid, lambda x, y: position_roi_amplitude(params, (x, y), (x, y))
+        scalar = lambda x, y: position_roi_amplitude(params, (x, y), (x, y))
     elif which == "coherent":
-        grid, scalar = _coherent_grid, lambda x, y: coherent_roi_amplitude(params, complex(x, y),
-                                                                            complex(x, y))
+        scalar = lambda x, y: coherent_roi_amplitude(params, complex(x, y), complex(x, y))
     else:
         raise ValidationError(f"unknown state family {which!r}; expected position or coherent")
     axis = np.asarray(values, dtype=float)
@@ -656,7 +656,7 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
         return p1, p2, amp
     with np.errstate(all="ignore"):
         try:
-            value, exponent = grid(params, p1, p2)
+            value, exponent = _roi_grid(which, params, p1, p2)
             amp.real, amp.imag = value.re, value.im
             rerun = ~np.isfinite(amp) | (amp == 0) | (exponent.re > 708.0)
         except ValidationError:  # an input overflows: the scalar walk says where

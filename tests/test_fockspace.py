@@ -26,7 +26,7 @@ from genstar import (
     quantum_ops,
     star_poly,
 )
-from genstar.fockspace import _even_odd_svd
+from genstar.fockspace import QuantumOps, _even_odd_svd
 from genstar.suites import random_interior_state
 
 
@@ -57,8 +57,9 @@ def test_ladder_requires_dim_at_least_two():
         lambda dim: coherent_vector(0.5, dim),
         lambda dim: momentum_state_op(0.5, 1.0, dim),
         lambda dim: quantum_ops(make_params(1.0), dim),
+        lambda dim: QuantumOps(1.0, dim),
     ],
-    ids=["ladder_ops", "coherent_vector", "momentum_state_op", "quantum_ops"],
+    ids=["ladder_ops", "coherent_vector", "momentum_state_op", "quantum_ops", "QuantumOps"],
 )
 def test_dims_past_the_array_bound_are_refused_before_allocating(build):
     # 2048^2 entries is the bound; 100000^2 complex entries would be 149 GiB
@@ -78,11 +79,12 @@ def test_dims_past_the_array_bound_are_refused_before_allocating(build):
         lambda dim: coherent_projector(0.5, dim),
         lambda dim: momentum_state_op(0.5, 1.0, dim),
         lambda dim: quantum_ops(make_params(1.0), dim),
+        lambda dim: QuantumOps(1.0, dim),
         lambda dim: overlap_vs_closedform(0.3, 0.5, 1.0, dim),
         lambda dim: FockOp(dim, np.eye(4)),
     ],
     ids=["ladder_ops", "coherent_vector", "coherent_projector", "momentum_state_op",
-         "quantum_ops", "overlap_vs_closedform", "FockOp"],
+         "quantum_ops", "QuantumOps", "overlap_vs_closedform", "FockOp"],
 )
 def test_non_integer_dims_are_refused(build, dim):
     # 4.0 would share 4's cache entries, since hash(4.0) == hash(4)
@@ -209,6 +211,10 @@ def test_hs_inner_sesquilinear():
 def test_quantum_ops_require_positive_theta():
     with pytest.raises(SingularParameterError):
         quantum_ops(make_params(0.0), 8)
+    # built directly, the operator set makes the same check before any action
+    for theta in (0.0, -1.0):
+        with pytest.raises(SingularParameterError, match="quantum operators need theta > 0"):
+            QuantumOps(theta, 8)
 
 
 def test_heisenberg_commutators_interior():

@@ -216,10 +216,12 @@ def test_star_wave_and_tmap_wave_overflow_is_a_validation_error():
     # exp(81 x1) by exp(1640.25); both overflow cmath.exp
     voros = preset_params("voros", 1.0)
     f, g = WaveSum.plane_wave(-40j, 0), WaveSum.plane_wave(-41j, 0)
-    with pytest.raises(ValidationError, match="star_wave.*overflows"):
+    with pytest.raises(ValidationError) as exc:
         star_wave(f, g, voros)
-    with pytest.raises(ValidationError, match="tmap_wave.*overflows"):
+    assert str(exc.value) == "star_wave: the pair factor exp(820+0j) overflows"
+    with pytest.raises(ValidationError) as exc:
         tmap_wave(f.pointwise_mul(g), voros)
+    assert str(exc.value) == "tmap_wave: the factor exp(1640.25-0j) overflows"
     # the factor is finite but the amplitude product 1e200 * 1e200 is not
     big = WaveSum.plane_wave(0.0, 0.0, amplitude=1e200)
     with pytest.raises(ValidationError, match="not finite"):
@@ -474,6 +476,30 @@ def test_coherent_momentum_overlap_values():
     assert coherent_momentum_overlap(0, 2.0, 1.0) == pytest.approx(math.sqrt(1 / TWO_PI) * math.exp(-1.0))
     with pytest.raises(SingularParameterError):
         coherent_momentum_overlap(0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: overlap_px((1j, 0), (0, 0)), r"p\[0\] must be real"),
+        (lambda: overlap_px((0, 0), (0, "y")), r"x\[1\] must be a real number"),
+        (lambda: overlap_px((math.inf, 0), (1, 0)), r"p\[0\] must be finite"),
+        (lambda: position_roi_amplitude(make_params(1.0), (1j, 0), (0, 0)), r"p\[0\] must be real"),
+        (lambda: position_roi_amplitude(make_params(1.0), (0, 0), (0, math.nan)),
+         r"pprime\[1\] must be finite"),
+        (lambda: coherent_roi_amplitude(make_params(1.0), "x", 1), "p must be a complex number"),
+        (lambda: coherent_roi_amplitude(make_params(1.0), 1, complex(0, math.inf)),
+         "pprime must be finite"),
+        (lambda: coherent_momentum_overlap(math.inf, 1, 1), "z must be finite"),
+        (lambda: coherent_momentum_overlap(0, None, 1), "p must be a complex number"),
+    ],
+    ids=["overlap_px-complex", "overlap_px-str", "overlap_px-inf", "position-complex",
+         "position-nan", "coherent-str", "coherent-inf", "overlap-inf", "overlap-None"],
+)
+def test_state_overlaps_and_roi_amplitudes_refuse_bad_momenta(call, message):
+    # each used to raise a raw TypeError or ValueError, or return nan+nanj
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 # -- position-state kernel ----------------------------------------------------
