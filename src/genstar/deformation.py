@@ -24,6 +24,8 @@ PRESETS = ("moyal", "voros")
 CARTESIAN = "cartesian"
 COMPLEX = "complex"
 FRAMES = (CARTESIAN, COMPLEX)
+#: each frame's two variable names, in axis order
+_FRAME_VARIABLES = {CARTESIAN: ("x1", "x2"), COMPLEX: ("z", "zbar")}
 
 #: the most entries an array sized by its input may hold: 64 MiB of complex
 #: doubles.  It bounds the polynomial star tensor and the Fock matrices
@@ -67,15 +69,20 @@ def _positive_theta(theta, needed_by: str) -> float:
 class DeformationParams:
     """The pair (theta, Phi) that fixes one member of the product family.
 
-    theta is the real noncommutativity scale (dimension length^2); phi11,
-    phi12, phi22 are the stored entries of the complex symmetric spatial
-    block of Phi.
+    theta is the finite real noncommutativity scale (dimension length^2);
+    phi11, phi12, phi22 are the finite complex stored entries of the
+    symmetric spatial block of Phi (Voros has -i*theta on the diagonal).
     """
 
     theta: float
     phi11: complex
     phi12: complex
     phi22: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", _finite_real("theta", self.theta))
+        for name in ("phi11", "phi12", "phi22"):
+            object.__setattr__(self, name, _finite_complex(name, getattr(self, name)))
 
     def is_moyal(self) -> bool:
         return self.phi11 == 0 and self.phi12 == 0 and self.phi22 == 0
@@ -90,17 +97,8 @@ class DeformationParams:
 
 
 def make_params(theta, phi11=0j, phi12=0j, phi22=0j) -> DeformationParams:
-    """Validate and package (theta, Phi).
-
-    theta must be a finite real; the phi entries may be any finite complex
-    numbers (the Voros member needs -i*theta on the diagonal).
-    """
-    return DeformationParams(
-        theta=_finite_real("theta", theta),
-        phi11=_finite_complex("phi11", phi11),
-        phi12=_finite_complex("phi12", phi12),
-        phi22=_finite_complex("phi22", phi22),
-    )
+    """Package (theta, Phi); DeformationParams checks them."""
+    return DeformationParams(theta, phi11, phi12, phi22)
 
 
 def preset_params(kind: str, theta) -> DeformationParams:

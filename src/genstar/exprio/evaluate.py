@@ -111,13 +111,22 @@ def _eval(node: Node, params: DeformationParams) -> Value:
     if isinstance(node, Neg):
         return -_eval(node.arg, params)
     if isinstance(node, Binary):
-        if node.op == "-":  # -right first: on two bad operands, the right one reports
-            right = -_eval(node.right, params)
-            return _add(_eval(node.left, params), right)
-        left, right = _eval(node.left, params), _eval(node.right, params)
-        if node.op == "**":
-            return _star(left, right, params)
-        return _add(left, right) if node.op == "+" else _mul(left, right)
+        # the left spine in a loop, so a long flat chain does not recurse
+        spine = []
+        while isinstance(node, Binary):
+            spine.append(node)
+            node = node.left
+        # each -right before its left: on two bad operands, the right one reports
+        negated = [-_eval(b.right, params) if b.op == "-" else None for b in spine]
+        value = _eval(node, params)
+        for b, right in zip(reversed(spine), reversed(negated)):
+            if b.op != "-":
+                right = _eval(b.right, params)
+            if b.op == "**":
+                value = _star(value, right, params)
+            else:
+                value = _mul(value, right) if b.op == "*" else _add(value, right)
+        return value
     if isinstance(node, Pow):
         return _pow(_eval(node.base, params), node.exponent)
     if isinstance(node, Exp):

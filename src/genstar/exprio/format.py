@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from ..polystar import CARTESIAN, Polynomial2
+from ..deformation import _FRAME_VARIABLES
+from ..polystar import Polynomial2
 from ..wavestar import WaveSum, _eigenvalues
 from .evaluate import Value
 from .parser import format_complex
@@ -32,7 +33,7 @@ def format_polynomial(poly: Polynomial2) -> str:
     """Grammar text for a polynomial, highest total degree first."""
     if poly.is_zero:
         return "0"
-    names = ("x1", "x2") if poly.frame == CARTESIAN else ("z", "zbar")
+    names = _FRAME_VARIABLES[poly.frame]
     keys = sorted(poly.terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
     parts = []
     for key in keys:
@@ -58,7 +59,7 @@ def format_wavesum(ws: WaveSum) -> str:
     """
     if ws.is_zero:
         return "0"
-    names = ("x1", "x2") if ws.frame == CARTESIAN else ("z", "zbar")
+    names = _FRAME_VARIABLES[ws.frame]
     parts = []
     # the exponent's coefficients are the derivative eigenvalues; the
     # terms arrive sorted by wavevector

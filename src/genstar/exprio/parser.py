@@ -34,12 +34,14 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..deformation import _FRAME_VARIABLES
 from ..errors import EngineError
 
-VARIABLES = ("x1", "x2", "z", "zbar")
-_FRAME_OF = {"x1": "cartesian", "x2": "cartesian", "z": "complex", "zbar": "complex"}
+#: variable name -> its frame
+_FRAME_OF = {name: frame for frame, names in _FRAME_VARIABLES.items() for name in names}
+VARIABLES = tuple(_FRAME_OF)
 
 #: the grammar's binary operators: op -> (precedence, printed spelling); a
 #: higher precedence binds tighter, and every operator is left-associative
@@ -106,26 +108,19 @@ class Node:
     pass
 
 
-def _pos_field():
-    return field(default=(0, 0), compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class Num(Node):
     value: complex
-    pos: tuple[int, int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Var(Node):
     name: str
-    pos: tuple[int, int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Neg(Node):
     arg: Node
-    pos: tuple[int, int] = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -133,20 +128,17 @@ class Binary(Node):
     op: str  # a key of _BINARY
     left: Node
     right: Node
-    pos: tuple[int, int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Pow(Node):
     base: Node
     exponent: int
-    pos: tuple[int, int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Exp(Node):
     arg: Node
-    pos: tuple[int, int] = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -195,7 +187,7 @@ class _Parser:
                     f"variable {var.text!r} mixes frames (expression already uses "
                     f"{self.frame} variables)",
                     var.line, var.column,
-                    expected=("x1", "x2") if self.frame == "cartesian" else ("z", "zbar"),
+                    expected=_FRAME_VARIABLES[self.frame],
                 )
         if self.bad_exps:  # nested exps complete innermost first: report the first in the text
             raise ParseError(
@@ -213,22 +205,22 @@ class _Parser:
         while _BINARY.get(self.cur.text, (None,))[0] == prec:
             op = self.advance()
             right, right_deg = self.binary(prec + 1) if tighter else self.factor()
-            node = Binary(op.text, node, right, pos=(op.line, op.column))
+            node = Binary(op.text, node, right)
             deg = max(deg, right_deg) if op.text in ("+", "-") else deg + right_deg
         return node, deg
 
     def factor(self) -> tuple[Node, float]:
         if self.at_op("-"):
-            op = self.advance()
+            self.advance()
             arg, deg = self.factor()
-            return Neg(arg, pos=(op.line, op.column)), deg
+            return Neg(arg), deg
         return self.power()
 
     def power(self) -> tuple[Node, float]:
         base, deg = self.atom()
         if not self.at_op("^"):
             return base, deg
-        op = self.advance()
+        self.advance()
         tok = self.cur
         if tok.kind != "number" or tok.value.imag != 0.0 or not tok.value.real.is_integer():
             self.fail(
@@ -237,7 +229,7 @@ class _Parser:
             )
         self.advance()
         n = int(tok.value.real)
-        return Pow(base, n, pos=(op.line, op.column)), deg * n if n else 0
+        return Pow(base, n), deg * n if n else 0
 
     def atom(self) -> tuple[Node, float]:
         tok = self.cur
@@ -246,14 +238,14 @@ class _Parser:
             if not cmath.isfinite(tok.value):
                 self.fail("number literal must be finite", ("finite number",))
             self.advance()
-            return Num(tok.value, pos=pos), 0
+            return Num(tok.value), 0
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":
-                return Num(1j, pos=pos), 0
+                return Num(1j), 0
             if tok.text in VARIABLES:
                 self.variables.append(tok)
-                return Var(tok.text, pos=pos), 1
+                return Var(tok.text), 1
             if tok.text == "exp":
                 if not self.at_op("("):
                     self.fail("exp must be called as exp(...)", ("'('",))
@@ -265,7 +257,7 @@ class _Parser:
                 self.advance()
                 if deg > 1:
                     self.bad_exps.append(pos)
-                return Exp(arg, pos=pos), 0 if len(self.variables) == seen else math.inf
+                return Exp(arg), 0 if len(self.variables) == seen else math.inf
             raise ParseError(f"unknown name {tok.text!r}", *pos, expected=VARIABLES + ("i", "exp"))
         if self.at_op("("):
             self.advance()
@@ -329,8 +321,13 @@ def pretty(node: Node, ctx_prec: int = 0) -> str:
     elif isinstance(node, Neg):
         s, prec = "-" + pretty(node.arg, _PREC_NEG), _PREC_NEG
     elif isinstance(node, Binary):
-        prec, spelling = _BINARY[node.op]
-        s = pretty(node.left, prec) + spelling + pretty(node.right, prec + 1)
+        # the chain of one precedence in a loop, so a long flat sum does not recurse
+        prec, chain = _BINARY[node.op][0], []
+        while isinstance(node, Binary) and _BINARY[node.op][0] == prec:
+            chain.append(node)
+            node = node.left
+        s = pretty(node, prec) + "".join(
+            _BINARY[b.op][1] + pretty(b.right, prec + 1) for b in reversed(chain))
     elif isinstance(node, Pow):
         s = f"{pretty(node.base, _PREC_ATOM)}^{node.exponent}"
         prec = _PREC_POW

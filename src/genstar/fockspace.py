@@ -94,20 +94,14 @@ class FockOp:
     def dagger(self) -> "FockOp":
         return FockOp._owned(self.dim, self.matrix.conj().T)
 
-    def _check(self, other):
-        _matrix_of(other, self.dim)
-
     def __matmul__(self, other):
-        self._check(other)
-        return FockOp._owned(self.dim, self.matrix @ other.matrix)
+        return FockOp._owned(self.dim, self.matrix @ _matrix_of(other, self.dim))
 
     def __add__(self, other):
-        self._check(other)
-        return FockOp._owned(self.dim, self.matrix + other.matrix)
+        return FockOp._owned(self.dim, self.matrix + _matrix_of(other, self.dim))
 
     def __sub__(self, other):
-        self._check(other)
-        return FockOp._owned(self.dim, self.matrix - other.matrix)
+        return FockOp._owned(self.dim, self.matrix - _matrix_of(other, self.dim))
 
     def __mul__(self, scalar):
         return FockOp._owned(self.dim, self.matrix * complex(scalar))
@@ -115,8 +109,8 @@ class FockOp:
     __rmul__ = __mul__
 
     def commutator(self, other: "FockOp") -> "FockOp":
-        self._check(other)
-        return FockOp._owned(self.dim, self.matrix @ other.matrix - other.matrix @ self.matrix)
+        m = _matrix_of(other, self.dim)
+        return FockOp._owned(self.dim, self.matrix @ m - m @ self.matrix)
 
 
 def ladder_ops(dim: int) -> tuple[FockOp, FockOp]:
@@ -171,8 +165,7 @@ def hs_inner(phi: FockOp, psi: FockOp) -> complex:
     """Hilbert-Schmidt inner product trace(phi^dag psi)."""
     if not isinstance(phi, FockOp):
         raise TypeError("hs_inner expects two FockOp operands")
-    phi._check(psi)
-    return complex(np.vdot(phi.matrix, psi.matrix))
+    return complex(np.vdot(phi.matrix, _matrix_of(psi, phi.dim)))
 
 
 #: rows per block of a ladder action's second shifted term

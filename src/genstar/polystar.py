@@ -31,6 +31,7 @@ from .deformation import (
     CARTESIAN,
     COMPLEX,
     FRAMES,
+    _FRAME_VARIABLES,
     _MAX_TENSOR,
     DeformationParams,
     _positive_theta,
@@ -56,7 +57,9 @@ def _quiet(fn):
     return quiet
 
 
-_VARIABLES = {"x1": (CARTESIAN, 0), "x2": (CARTESIAN, 1), "z": (COMPLEX, 0), "zbar": (COMPLEX, 1)}
+#: variable name -> (its frame, the key of its monomial)
+_VARIABLES = {name: (frame, key) for frame, names in _FRAME_VARIABLES.items()
+              for name, key in zip(names, ((1, 0), (0, 1)))}
 
 
 class Polynomial2:
@@ -120,8 +123,7 @@ class Polynomial2:
     def variable(cls, name: str) -> "Polynomial2":
         if name not in _VARIABLES:
             raise ValidationError(f"unknown variable {name!r}; expected one of {sorted(_VARIABLES)}")
-        frame, axis = _VARIABLES[name]
-        key = (1, 0) if axis == 0 else (0, 1)
+        frame, key = _VARIABLES[name]
         return cls({key: 1.0 + 0j}, frame)
 
     # -- inspection -----------------------------------------------------

@@ -126,8 +126,10 @@ def _law_errors(params, f, g, h) -> tuple[float, float, float, float]:
     )
 
 
-def algebra_suite(seed: int = 0, commutator_trials: int = 100, law_trials: int = 200) -> SuiteResult:
-    """Deformed-commutator invariance plus the star-bracket laws."""
+def algebra_suite(seed: int = 0, trials: int | None = None) -> SuiteResult:
+    """Deformed-commutator invariance plus the star-bracket laws, over trials
+    commutator draws and trials law triples (None: 100 and 200)."""
+    commutator_trials, law_trials = (100, 200) if trials is None else (trials, trials)
     rng = np.random.default_rng(seed)
     thetas = (0.1, 1.0, 2.0)
     commutator_params = [random_params(rng, theta=thetas[k % 3]) for k in range(commutator_trials)]
@@ -200,13 +202,13 @@ def _diagonal(family: str, params: DeformationParams, grid) -> list[tuple[float,
     return list(zip(*(column.tolist() for column in roi_diagonal(family, params, grid))))
 
 
-def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
-    """Resolution-of-identity amplitudes on momentum grids."""
+def roi_suite(seed: int = 0) -> SuiteResult:
+    """Resolution-of-identity amplitudes on a 20x20 momentum grid."""
     rng = np.random.default_rng(seed)
     draws = [(random_params(rng), complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
              for _ in range(50)]
 
-    grid = np.linspace(-2.0, 2.0, grid_points)
+    grid = np.linspace(-2.0, 2.0, 20)
     moyal = preset_params("moyal", 1.0)
     voros = preset_params("voros", 1.0)
     non_moyal = (make_params(1.0, phi11=0.2, phi22=0.2), make_params(1.0, phi12=0.3), voros)
@@ -217,7 +219,7 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
     return SuiteResult("roi", seed, (
         _check("position-moyal-resolves",
                (abs(amp - 1.0) for _, _, amp in _diagonal("position", moyal, grid)), 1e-12,
-               f"diagonal amplitude = 1 on {grid_points}x{grid_points} grid in [-2,2]^2"),
+               "diagonal amplitude = 1 on 20x20 grid in [-2,2]^2"),
         _check("position-generic-amplitude",
                (abs(amp - cmath.exp(0.5j * params.phi_quadratic(p1, p2)))
                 for params, points in generic for p1, p2, amp in points), 1e-12,
@@ -226,7 +228,7 @@ def roi_suite(seed: int = 0, grid_points: int = 20) -> SuiteResult:
                "(non-resolution)"),
         _check("coherent-voros-resolves",
                (abs(amp - 1.0) for _, _, amp in _diagonal("coherent", voros, grid)), 1e-12,
-               f"diagonal amplitude = 1 on {grid_points}x{grid_points} grid"),
+               "diagonal amplitude = 1 on 20x20 grid"),
         _check("coherent-moyal-gaussian",
                (abs(amp - math.exp(-moyal.theta * abs(complex(p1, p2)) ** 2 / 2.0))
                 for p1, p2, amp in _diagonal("coherent", moyal, grid)), 1e-12,
@@ -301,23 +303,24 @@ def fock_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
     ))
 
 
-#: suite name -> (the keywords its trial count sets, its runner); each
-#: runner names its suite at call time, so a rebound name (a tracer's
-#: wrapper) is the one called
+#: suite name -> its runner, called with seed= and, unless it is None, the
+#: trial count; each runner names its suite at call time, so a rebound name
+#: (a tracer's wrapper) is the one called.  The roi suite draws a fixed count
 _SUITES = {
-    "algebra": (("commutator_trials", "law_trials"), lambda **kw: algebra_suite(**kw)),
-    "equivalence": (("trials",), lambda **kw: equivalence_suite(**kw)),
-    "roi": ((), lambda **kw: roi_suite(**kw)),
-    "fock": (("trials",), lambda **kw: fock_suite(**kw)),
+    "algebra": lambda **kw: algebra_suite(**kw),
+    "equivalence": lambda **kw: equivalence_suite(**kw),
+    "roi": lambda seed, trials=None: roi_suite(seed=seed),
+    "fock": lambda **kw: fock_suite(**kw),
 }
 
 
 def run_suites(names=SUITE_NAMES, seed: int = 0, trials: int | None = None) -> list[SuiteResult]:
-    """Run the named suites.  trials = None keeps each suite's pinned
-    default counts (100 commutator draws, 200 law triples, 100 pairs,
-    20 Fock points).  An unknown name, a negative seed or trials < 1
-    raises ValidationError before any suite runs: no suite would check
-    anything at trials = 0."""
+    """Run the named suites.  trials sets each count that a suite draws (the
+    roi suite draws a fixed 50 and uses a 20x20 grid); None keeps the pinned
+    defaults: 100 commutator draws, 200 law triples, 100 pairs, 20 Fock
+    points.  An unknown name, a negative seed or trials < 1 raises
+    ValidationError before any suite runs: no suite would check anything
+    at trials = 0."""
     names = tuple(names)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
@@ -326,8 +329,5 @@ def run_suites(names=SUITE_NAMES, seed: int = 0, trials: int | None = None) -> l
     for name in names:
         if name not in _SUITES:
             raise ValidationError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    out = []
-    for name in names:
-        keys, run = _SUITES[name]
-        out.append(run(seed=seed, **({} if trials is None else dict.fromkeys(keys, trials))))
-    return out
+    kw = {} if trials is None else {"trials": trials}
+    return [_SUITES[name](seed=seed, **kw) for name in names]

@@ -20,9 +20,10 @@ a float widened to (x, 0.0), division as _Py_c_quot, np.exp for cmath.exp),
 so the pair step written once (_pair: the amplitude product and the star
 pair factor exp(K_ab d_a e_b)) has the same bits on Python complex numbers
 and on arrays.  The scalar loop, the array products and roi_diagonal's
-grid all take their pairs through it.  roi_diagonal evaluates a whole grid
-of diagonal RoI amplitudes that way, with K from star_kernel and the state
-weights from _coherent_state, so every amplitude has the bits of the scalar
+grid all take their pairs through it.  roi_diagonal writes the grid itself:
+it builds each family's bra and ket for every diagonal point at once, with
+K from star_kernel and the state weights from _coherent_state, and takes
+them through that step, so every amplitude has the bits of the scalar
 *_roi_amplitude functions, which stay the reference and handle the points
 at the edge of the float range.
 
@@ -351,10 +352,6 @@ def _exp(phase, what: str):
         raise ValidationError(f"{what} exp({phase:.6g}) overflows") from exc
 
 
-def _pair_factor(phase):
-    return _exp(phase, "star_wave: the pair factor")
-
-
 def _pair(kernel, frame: str, left, right, exp):
     """One pair step of a product, on terms (amplitude, k1, k2) given as
     complex numbers or as _Pairs that broadcast: the amplitude product times
@@ -386,11 +383,12 @@ def _columns(terms, shape):
 def _scalar_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     """_product one pair at a time, s in f outermost."""
     right = [(t.amplitude, *t.wavevector) for t in g.terms]
+    factor = lambda phase: _exp(phase, "star_wave: the pair factor")
     out = []
     for s in f.terms:
         left = (s.amplitude, *s.wavevector)
         for t in right:
-            amplitude, wavevector, _ = _pair(kernel, f.frame, left, t, _pair_factor)
+            amplitude, wavevector, _ = _pair(kernel, f.frame, left, t, factor)
             out.append(ExpLinearTerm(amplitude, f.frame, wavevector))
     return WaveSum(tuple(out), f.frame)
 
@@ -544,8 +542,12 @@ def plane_integral_z(f: WaveSum) -> DeltaTerm:
 
 
 def _point(name: str, v) -> tuple[float, float]:
-    """The two finite real coordinates of the point v."""
-    return _finite_real(f"{name}[0]", v[0]), _finite_real(f"{name}[1]", v[1])
+    """The two finite real coordinates of the point v, a sequence of two."""
+    try:
+        x, y = v
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a sequence of two numbers, got {v!r}") from None
+    return _finite_real(f"{name}[0]", x), _finite_real(f"{name}[1]", y)
 
 
 def overlap_px(p, x) -> complex:
@@ -611,26 +613,6 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     return delta.amplitude / (2.0 * t)
 
 
-def _roi_grid(which: str, params: DeformationParams, p1, p2) -> tuple[_Pairs, _Pairs]:
-    """position_roi_amplitude or coherent_roi_amplitude at every diagonal
-    point (p1, p2), step by step: the amplitude and the star pair exponent.
-    The two families differ only in their states and plane weights."""
-    if which == "position":
-        amplitude, frame = complex(1.0 / TWO_PI), CARTESIAN  # each state's amplitude, as stored
-        bra = (amplitude, _Pairs(-p1, 0.0), _Pairs(-p2, 0.0))
-        ket = (amplitude, _Pairs(p1, 0.0), _Pairs(p2, 0.0))
-    else:
-        t, s, weights = _coherent_state(params.theta, *map(complex, p1.tolist(), p2.tolist()))
-        weights = np.array(weights, dtype=complex)
-        weight, p, frame = _Pairs(weights.real, weights.imag), _Pairs(p1, p2), COMPLEX
-        bra = (weight, -1j * s * p.conjugate(), -1j * s * p)
-        ket = (weight, 1j * s * p.conjugate(), 1j * s * p)
-    amplitude, _, exponent = _pair(star_kernel(frame, params), frame, bra, ket, _Pairs.exp)
-    if which == "position":
-        return amplitude * TWO_PI**2, exponent
-    return amplitude * 4.0 * math.pi / (2.0 * t), exponent
-
-
 def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndarray, ...]:
     """Columns (p1, p2, amp) over the grid values x values, p1 outermost: amp
     is the diagonal (p = p') RoI amplitude of the states that which names,
@@ -643,11 +625,7 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
     called itself, in grid order, so the first point that fails raises the
     scalar error.  The first point is always checked against it.
     """
-    if which == "position":
-        scalar = lambda x, y: position_roi_amplitude(params, (x, y), (x, y))
-    elif which == "coherent":
-        scalar = lambda x, y: coherent_roi_amplitude(params, complex(x, y), complex(x, y))
-    else:
+    if which not in ("position", "coherent"):
         raise ValidationError(f"unknown state family {which!r}; expected position or coherent")
     axis = np.asarray(values, dtype=float)
     p1, p2 = np.repeat(axis, axis.size), np.tile(axis, axis.size)
@@ -656,7 +634,24 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
         return p1, p2, amp
     with np.errstate(all="ignore"):
         try:
-            value, exponent = _roi_grid(which, params, p1, p2)
+            # each family's states, step by step as its scalar function builds
+            # them, and the weight of its plane integral
+            if which == "position":
+                scalar = lambda x, y: position_roi_amplitude(params, (x, y), (x, y))
+                amplitude, frame = complex(1.0 / TWO_PI), CARTESIAN  # each state's, as stored
+                bra = (amplitude, _Pairs(-p1, 0.0), _Pairs(-p2, 0.0))
+                ket = (amplitude, _Pairs(p1, 0.0), _Pairs(p2, 0.0))
+                plane = lambda a: a * TWO_PI**2
+            else:
+                scalar = lambda x, y: coherent_roi_amplitude(params, complex(x, y), complex(x, y))
+                t, s, weights = _coherent_state(params.theta, *map(complex, p1.tolist(), p2.tolist()))
+                weights = np.array(weights, dtype=complex)
+                weight, p, frame = _Pairs(weights.real, weights.imag), _Pairs(p1, p2), COMPLEX
+                bra = (weight, -1j * s * p.conjugate(), -1j * s * p)
+                ket = (weight, 1j * s * p.conjugate(), 1j * s * p)
+                plane = lambda a: a * 4.0 * math.pi / (2.0 * t)
+            value, _, exponent = _pair(star_kernel(frame, params), frame, bra, ket, _Pairs.exp)
+            value = plane(value)
             amp.real, amp.imag = value.re, value.im
             rerun = ~np.isfinite(amp) | (amp == 0) | (exponent.re > 708.0)
         except ValidationError:  # an input overflows: the scalar walk says where

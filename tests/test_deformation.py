@@ -49,6 +49,29 @@ def test_make_params_rejects_nonfinite():
         make_params(1 + 1j)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("a", 0j, 0j, 0j), "theta must be a real number"),
+        ((float("nan"), 0j, 0j, 0j), "theta must be finite"),
+        ((1.0, "a", 0j, 0j), "phi11 must be a complex number"),
+        ((1.0, 0j, None, 0j), "phi12 must be a complex number"),
+        ((1.0, 0j, 0j, complex(0, float("inf"))), "phi22 must be finite"),
+    ],
+    ids=["theta-str", "theta-nan", "phi11-str", "phi12-none", "phi22-inf"],
+)
+def test_deformation_params_built_directly_check_theta_and_phi(args, message):
+    # a direct build is checked as make_params checks it, not later by star_wave or star_poly
+    with pytest.raises(ValidationError, match=message):
+        DeformationParams(*args)
+
+
+def test_deformation_params_store_float_theta_and_complex_phi():
+    params = DeformationParams(2, 1, 0.5, 0j)
+    assert params == make_params(2.0, 1 + 0j, 0.5 + 0j, 0j)
+    assert type(params.theta) is float and type(params.phi11) is complex
+
+
 def test_preset_moyal():
     p = preset_params("moyal", 0.5)
     assert p.theta == 0.5

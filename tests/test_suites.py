@@ -21,9 +21,9 @@ def test_all_suites_pass_at_defaults():
 
 def test_suites_are_deterministic_for_fixed_seed():
     runs = (
-        lambda: algebra_suite(seed=3, commutator_trials=20, law_trials=20),
+        lambda: algebra_suite(seed=3, trials=20),
         lambda: equivalence_suite(seed=3, trials=20),
-        lambda: roi_suite(seed=3, grid_points=7),
+        lambda: roi_suite(seed=3),
         lambda: fock_suite(seed=3, trials=5),
     )
     for run in runs:
@@ -42,7 +42,7 @@ def test_trials_override():
 
 
 def test_roi_suite_reports_non_resolution_detail():
-    suite = roi_suite(seed=0, grid_points=7)
+    suite = roi_suite(seed=0)
     by_name = {c.name: c for c in suite.checks}
     assert "non-resolution" in by_name["position-generic-amplitude"].detail
     assert by_name["coherent-voros-resolves"].passed
@@ -64,3 +64,10 @@ def test_run_suites_rejects_negative_seed_and_empty_trials(kw, monkeypatch):
 def test_run_suites_trials_none_keeps_pinned_counts():
     (suite,) = run_suites(("equivalence",), seed=0, trials=None)
     assert "100 random" in suite.checks[0].detail
+
+
+def test_run_suites_trials_sets_both_algebra_counts():
+    (suite,) = run_suites(("algebra",), 0, trials=7)
+    by_name = {c.name: c.detail for c in suite.checks}
+    assert "over 7 random Phi" in by_name["commutator-invariance"]
+    assert by_name["associativity"].startswith("7 random triples")

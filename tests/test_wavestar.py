@@ -492,12 +492,18 @@ def test_coherent_momentum_overlap_values():
          "pprime must be finite"),
         (lambda: coherent_momentum_overlap(math.inf, 1, 1), "z must be finite"),
         (lambda: coherent_momentum_overlap(0, None, 1), "p must be a complex number"),
+        (lambda: overlap_px(5, (0, 0)), "p must be a sequence of two numbers, got 5"),
+        (lambda: position_roi_amplitude(make_params(1.0), 5, (0, 0)),
+         "p must be a sequence of two numbers, got 5"),
+        (lambda: overlap_px((1, 0, 7), (0, 0)), r"p must be a sequence of two numbers, got \(1, 0, 7\)"),
     ],
     ids=["overlap_px-complex", "overlap_px-str", "overlap_px-inf", "position-complex",
-         "position-nan", "coherent-str", "coherent-inf", "overlap-inf", "overlap-None"],
+         "position-nan", "coherent-str", "coherent-inf", "overlap-inf", "overlap-None",
+         "overlap_px-int", "position-int", "overlap_px-three"],
 )
 def test_state_overlaps_and_roi_amplitudes_refuse_bad_momenta(call, message):
-    # each used to raise a raw TypeError or ValueError, or return nan+nanj
+    # each used to raise a raw TypeError or ValueError, or return nan+nanj or a
+    # value that ignored a third coordinate
     with pytest.raises(ValidationError, match=message):
         call()
 
