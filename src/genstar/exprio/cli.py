@@ -15,23 +15,23 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..deformation import PRESETS
 from ..errors import EngineError
 from ..suites import SUITE_NAMES, run_suites
 from .evaluate import evaluate_expression, value_kind
 from .format import format_value
 from .parser import parse_expression
 from .report import FORMATS, emit_report, exit_code
-from .scenario import TASKS, Scenario, build_params, load_scenario, prepare_task, run_scenario
+from .scenario import (
+    _PHI_KEYS, TASKS, Scenario, build_params, load_scenario, prepare_task, run_scenario
+)
 
 
 def _add_param_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--theta", type=float, default=1.0, help="noncommutativity scale (default 1)")
-    sub.add_argument("--phi11", default="0", help="complex literal, e.g. 0.2 or -1i")
-    sub.add_argument("--phi12", default="0", help="complex literal")
-    sub.add_argument("--phi22", default="0", help="complex literal")
-    sub.add_argument(
-        "--preset", choices=("moyal", "voros"), help="overrides the phi flags when given"
-    )
+    for key in _PHI_KEYS:
+        sub.add_argument(f"--{key}", default="0", help="complex literal, e.g. 0.2 or -1i")
+    sub.add_argument("--preset", choices=PRESETS, help="overrides the phi flags when given")
 
 
 def _write(payload: bytes, out: str | None):

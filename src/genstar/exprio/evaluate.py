@@ -13,8 +13,8 @@ import math
 from ..deformation import DeformationParams
 from ..errors import EngineError
 from ..polystar import CARTESIAN, Polynomial2, star_poly
-from ..wavestar import WaveSum, star_wave
-from .parser import Binary, Exp, Expression, Neg, Node, Num, Pow, Var
+from ..wavestar import ExpLinearTerm, WaveSum, star_wave
+from .parser import Chain, Exp, Expression, Neg, Node, Num, Pow, Var
 
 Value = complex | Polynomial2 | WaveSum
 
@@ -32,9 +32,7 @@ def value_kind(v: Value) -> str:
 
 
 def _scalar_wave(c: complex, frame: str) -> WaveSum:
-    if frame == CARTESIAN:
-        return WaveSum.plane_wave(0.0, 0.0, amplitude=c)
-    return WaveSum.z_exponential(0.0, 0.0, amplitude=c)
+    return WaveSum((ExpLinearTerm(c, frame, (0j, 0j)),), frame)
 
 
 def _add(a: Value, b: Value) -> Value:
@@ -110,22 +108,16 @@ def _eval(node: Node, params: DeformationParams) -> Value:
         return Polynomial2.variable(node.name)
     if isinstance(node, Neg):
         return -_eval(node.arg, params)
-    if isinstance(node, Binary):
-        # the left spine in a loop, so a long flat chain does not recurse
-        spine = []
-        while isinstance(node, Binary):
-            spine.append(node)
-            node = node.left
-        # each -right before its left: on two bad operands, the right one reports
-        negated = [-_eval(b.right, params) if b.op == "-" else None for b in spine]
-        value = _eval(node, params)
-        for b, right in zip(reversed(spine), reversed(negated)):
-            if b.op != "-":
-                right = _eval(b.right, params)
-            if b.op == "**":
+    if isinstance(node, Chain):
+        # the - operands are evaluated first, last first; then the rest left to right
+        negated = [-_eval(x, params) if op == "-" else None for op, x in reversed(node.rest)]
+        value = _eval(node.first, params)
+        for (op, x), neg in zip(node.rest, reversed(negated)):
+            right = _eval(x, params) if neg is None else neg
+            if op == "**":
                 value = _star(value, right, params)
             else:
-                value = _mul(value, right) if b.op == "*" else _add(value, right)
+                value = _mul(value, right) if op == "*" else _add(value, right)
         return value
     if isinstance(node, Pow):
         return _pow(_eval(node.base, params), node.exponent)

@@ -14,6 +14,9 @@ spelling live: '+' and '-' bind loosest, then the star product '**', then
 1.5, 2i, 1.5e-3i) and must be finite; variables are x1/x2 (cartesian
 frame) or z/zbar (complex frame) and the two frames may not mix.
 
+Each binary(p) that reads an operator is one Chain node, its first operand
+and its (op, operand) pairs: a shallow tree however long the chain.
+
 An 'exp' argument must be affine in the variables: its degree is at most 1.
 A number or 'i' has degree 0 and a variable 1; unary '-' keeps its operand's
 degree, '+' and '-' take the larger, '*' and '**' add the two (a star
@@ -124,10 +127,9 @@ class Neg(Node):
 
 
 @dataclass(frozen=True)
-class Binary(Node):
-    op: str  # a key of _BINARY
-    left: Node
-    right: Node
+class Chain(Node):
+    first: Node
+    rest: tuple[tuple[str, Node], ...]  # (op, operand) pairs, ops of one precedence; not empty
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,6 @@ class Expression:
 
     root: Node
     frame: str | None
-    text: str
 
 
 class _Parser:
@@ -199,15 +200,21 @@ class _Parser:
 
     def binary(self, prec: int = 1) -> tuple[Node, float]:
         """A left-associative chain of the _BINARY operators of precedence
-        prec; its operands are the next level's chains, or factors."""
+        prec; its operands are the next level's chains, or factors.  A
+        parenthesized chain of prec in first place joins: (a+b)+c is a+b+c."""
         tighter = prec < _TIGHTEST
-        node, deg = self.binary(prec + 1) if tighter else self.factor()
+        first, deg = self.binary(prec + 1) if tighter else self.factor()
+        rest = []
         while _BINARY.get(self.cur.text, (None,))[0] == prec:
-            op = self.advance()
-            right, right_deg = self.binary(prec + 1) if tighter else self.factor()
-            node = Binary(op.text, node, right)
-            deg = max(deg, right_deg) if op.text in ("+", "-") else deg + right_deg
-        return node, deg
+            op = self.advance().text
+            operand, operand_deg = self.binary(prec + 1) if tighter else self.factor()
+            rest.append((op, operand))
+            deg = max(deg, operand_deg) if op in ("+", "-") else deg + operand_deg
+        if not rest:
+            return first, deg
+        if isinstance(first, Chain) and _BINARY[first.rest[0][0]][0] == prec:
+            first, rest = first.first, [*first.rest, *rest]
+        return Chain(first, tuple(rest)), deg
 
     def factor(self) -> tuple[Node, float]:
         if self.at_op("-"):
@@ -280,7 +287,7 @@ def parse_expression(text: str) -> Expression:
         root = parser.parse()
     except RecursionError:
         parser.fail("expression nests too deeply", ("less nesting",))
-    return Expression(root=root, frame=parser.frame, text=text)
+    return Expression(root=root, frame=parser.frame)
 
 
 # -- pretty printer ----------------------------------------------------------
@@ -320,14 +327,10 @@ def pretty(node: Node, ctx_prec: int = 0) -> str:
         s, prec = node.name, _PREC_ATOM
     elif isinstance(node, Neg):
         s, prec = "-" + pretty(node.arg, _PREC_NEG), _PREC_NEG
-    elif isinstance(node, Binary):
-        # the chain of one precedence in a loop, so a long flat sum does not recurse
-        prec, chain = _BINARY[node.op][0], []
-        while isinstance(node, Binary) and _BINARY[node.op][0] == prec:
-            chain.append(node)
-            node = node.left
-        s = pretty(node, prec) + "".join(
-            _BINARY[b.op][1] + pretty(b.right, prec + 1) for b in reversed(chain))
+    elif isinstance(node, Chain):
+        prec = _BINARY[node.rest[0][0]][0]
+        s = pretty(node.first, prec) + "".join(
+            _BINARY[op][1] + pretty(operand, prec + 1) for op, operand in node.rest)
     elif isinstance(node, Pow):
         s = f"{pretty(node.base, _PREC_ATOM)}^{node.exponent}"
         prec = _PREC_POW

@@ -620,10 +620,11 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
 
     The grid is evaluated at once, as arrays, with the bits that
     position_roi_amplitude or coherent_roi_amplitude gives point by point.
-    Where the scalar function may raise or take another branch (amp not
-    finite or exactly 0, a pair exponent whose real part passes 708), it is
-    called itself, in grid order, so the first point that fails raises the
-    scalar error.  The first point is always checked against it.
+    That scalar function runs at the first point before the batch, which
+    must match it there, and wherever it may raise or take another branch
+    (amp not finite or exactly 0, a pair exponent whose real part passes
+    708), in grid order, so the first point that fails raises its error.
+    An empty grid, like a scalar walk over no points, checks nothing.
     """
     if which not in ("position", "coherent"):
         raise ValidationError(f"unknown state family {which!r}; expected position or coherent")
@@ -632,18 +633,21 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
     amp = np.empty(p1.size, dtype=complex)
     if not amp.size:
         return p1, p2, amp
+    if which == "position":
+        scalar = lambda x, y: position_roi_amplitude(params, (x, y), (x, y))
+    else:
+        scalar = lambda x, y: coherent_roi_amplitude(params, complex(x, y), complex(x, y))
+    first = scalar(p1[0], p2[0])
     with np.errstate(all="ignore"):
         try:
             # each family's states, step by step as its scalar function builds
             # them, and the weight of its plane integral
             if which == "position":
-                scalar = lambda x, y: position_roi_amplitude(params, (x, y), (x, y))
                 amplitude, frame = complex(1.0 / TWO_PI), CARTESIAN  # each state's, as stored
                 bra = (amplitude, _Pairs(-p1, 0.0), _Pairs(-p2, 0.0))
                 ket = (amplitude, _Pairs(p1, 0.0), _Pairs(p2, 0.0))
                 plane = lambda a: a * TWO_PI**2
             else:
-                scalar = lambda x, y: coherent_roi_amplitude(params, complex(x, y), complex(x, y))
                 t, s, weights = _coherent_state(params.theta, *map(complex, p1.tolist(), p2.tolist()))
                 weights = np.array(weights, dtype=complex)
                 weight, p, frame = _Pairs(weights.real, weights.imag), _Pairs(p1, p2), COMPLEX
@@ -656,14 +660,14 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
             rerun = ~np.isfinite(amp) | (amp == 0) | (exponent.re > 708.0)
         except ValidationError:  # an input overflows: the scalar walk says where
             rerun = np.ones(amp.size, dtype=bool)
-    for i in np.flatnonzero(rerun).tolist():
-        amp[i] = scalar(p1[i], p2[i])
-    first = scalar(p1[0], p2[0])
-    if repr(first) != repr(complex(amp[0])):
+    if not rerun[0] and repr(first) != repr(complex(amp[0])):
         raise EngineError(
             f"roi_diagonal: the batched {which} amplitude {complex(amp[0])!r} at "
             f"({float(p1[0])!r}, {float(p2[0])!r}) differs from the scalar {first!r}"
         )
+    amp[0], rerun[0] = first, False
+    for i in np.flatnonzero(rerun).tolist():
+        amp[i] = scalar(p1[i], p2[i])
     return p1, p2, amp
 
 

@@ -3,6 +3,7 @@
 import cmath
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -115,12 +116,15 @@ def test_round_trip(text):
 
 
 def test_a_3000_term_sum_evaluates_and_round_trips():
-    # evaluation and printing walk an operator chain in a loop; a tree this
-    # deep is compared through its text, since == on it recurses
+    # an operator chain is one node, so ==, hash, evaluation and printing
+    # all walk it without recursing per term
     text = " + ".join(["x1", "2*x2", "-i"] * 1000) + " - x1"
     expr = parse_expression(text)
     assert pretty(expr.root) == text
     assert pretty(parse_expression(pretty(expr.root)).root) == text
+    again = parse_expression(text).root
+    assert again == expr.root and hash(again) == hash(expr.root)
+    assert parse_expression(pretty(expr.root)).root == expr.root
     value = evaluate_expression(expr, make_params(1.0))
     assert format_value(value) == "999*x1 + 2000*x2 - 1000i"
 
@@ -151,9 +155,23 @@ def test_value_survives_format_cycle(text):
 def test_star_binds_between_add_and_mul():
     e = parse_expression("x1 + x2 ** x1*x2")
     # parsed as x1 + (x2 ** (x1*x2))
-    assert e.root.op == "+"
-    assert e.root.right.op == "**"
-    assert e.root.right.right.op == "*"
+    ((add, star),) = e.root.rest
+    assert add == "+"
+    ((op, product),) = star.rest
+    assert op == "**"
+    assert [op for op, _ in product.rest] == ["*"]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "**", "*"])
+def test_a_parenthesized_chain_in_first_place_joins_the_chain(op):
+    s = f" {op} " if op != "*" else op
+    flat = parse_expression(f"x1{s}x2{s}x1")
+    nested = parse_expression(f"(x1{s}x2){s}x1")
+    assert nested == flat
+    assert [o for o, _ in nested.root.rest] == [op, op]  # one chain node, two operators
+    assert pretty(nested.root) == pretty(flat.root) == f"x1{s}x2{s}x1"
+    # in any other place the parentheses stay
+    assert pretty(parse_expression(f"x1{s}(x2{s}x1)").root) == f"x1{s}(x2{s}x1)"
 
 
 def test_eval_star_polynomials():
@@ -939,6 +957,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1*x2 + 0.5i"
+
+
+def test_console_script_names_an_importable_callable():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["genstar"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry)
+    assert entry(["eval", "x1 ** x2"]) == 0
 
 
 # -- the exp rule, over-deep input and the no-traceback contract --------------

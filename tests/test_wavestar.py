@@ -661,6 +661,19 @@ def test_roi_diagonal_raises_the_scalar_error_at_the_first_failing_point():
         roi_diagonal("coherent", voros, [-1e200, 0.0, 1e300])
 
 
+def test_roi_diagonal_raises_the_first_points_scalar_error_before_the_batch():
+    # at theta = -1 the batch would raise the theta error; the scalar walk
+    # refuses the non-finite momentum first
+    params = make_params(-1.0)
+    with pytest.raises(ValidationError) as info:
+        roi_diagonal("coherent", params, [math.nan])
+    with pytest.raises(ValidationError, match="p must be finite") as scalar:
+        coherent_roi_amplitude(params, complex(math.nan, math.nan), complex(math.nan, math.nan))
+    assert str(info.value) == str(scalar.value)
+    # like a scalar walk over no points, an empty grid checks nothing
+    assert [c.size for c in roi_diagonal("coherent", params, [])] == [0, 0, 0]
+
+
 # -- coherent-state kernel ----------------------------------------------------
 
 
