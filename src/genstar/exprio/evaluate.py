@@ -14,7 +14,7 @@ from ..deformation import DeformationParams
 from ..errors import EngineError
 from ..polystar import CARTESIAN, Polynomial2, star_poly
 from ..wavestar import ExpLinearTerm, WaveSum, star_wave
-from .parser import Chain, Exp, Expression, Neg, Node, Num, Pow, Var
+from .parser import Chain, Exp, Expression, Neg, Node, Num, Pow, Var, pretty
 
 Value = complex | Polynomial2 | WaveSum
 
@@ -114,16 +114,26 @@ def _eval(node: Node, params: DeformationParams) -> Value:
         value = _eval(node.first, params)
         for (op, x), neg in zip(node.rest, reversed(negated)):
             right = _eval(x, params) if neg is None else neg
-            if op == "**":
-                value = _star(value, right, params)
-            else:
-                value = _mul(value, right) if op == "*" else _add(value, right)
+            try:
+                if op == "**":
+                    value = _star(value, right, params)
+                else:
+                    value = _mul(value, right) if op == "*" else _add(value, right)
+            except EvaluationError as exc:  # a polynomial meets an exponential sum
+                raise EvaluationError(f"{exc} (right operand: {_named(x)})") from None
         return value
-    if isinstance(node, Pow):
-        return _pow(_eval(node.base, params), node.exponent)
-    if isinstance(node, Exp):
-        return _exp_value(_eval(node.arg, params))
+    if isinstance(node, (Pow, Exp)):
+        arg = _eval(node.base if isinstance(node, Pow) else node.arg, params)
+        try:
+            return _pow(arg, node.exponent) if isinstance(node, Pow) else _exp_value(arg)
+        except OverflowError as exc:
+            raise EvaluationError(f"numeric overflow: {exc} in {_named(node)}") from exc
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _named(node: Node) -> str:
+    text = pretty(node)
+    return text if len(text) <= 60 else text[:59] + "…"
 
 
 def evaluate_expression(expr: Expression, params: DeformationParams) -> Value:

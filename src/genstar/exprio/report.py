@@ -2,10 +2,12 @@
 
 A task's grid points are a column table: TaskResult.points maps each point
 column (p1 to abs_error, in CSV order) to an array over the grid, or to one
-value that every point shares; p1 is always an array.  The emitter writes the JSON points block and
-the CSV point rows straight from the columns, one row template each, with
-the bytes that json.dumps(sort_keys=True, indent=2) and csv.writer give for
-the same points as a list of dicts.
+value that every point shares; p1 is always an array.  The emitter writes
+the JSON points block and the CSV point rows with no Python step per point:
+each distinct value of a column is rendered once and gathered by index,
+and each table is one flat list of those strings and its row template's
+pieces, joined once.  The bytes are those that json.dumps(sort_keys=True,
+indent=2) and csv.writer give for the same points as a list of dicts.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ CSV_HEADER = (
 #: the point columns, in CSV order
 _POINT_COLUMNS = CSV_HEADER[2:-2]
 
-#: a JSON point, its keys sorted and indented as json.dumps(indent=2) puts
-#: them at the depth of tasks[i].outputs.points
-_JSON_POINT = (" " * 10 + "{\n"
-               + ",\n".join(" " * 12 + f'"{k}": %s' for k in sorted(_POINT_COLUMNS))
-               + "\n" + " " * 10 + "}")
+#: a JSON point and its comma, split at its values, the keys sorted and
+#: indented as json.dumps(indent=2) puts them in tasks[i].outputs.points
+_JSON_PIECES = (" " * 10 + "{\n"
+                + ",\n".join(" " * 12 + f'"{k}": %s' for k in sorted(_POINT_COLUMNS))
+                + "\n" + " " * 10 + "},\n").split("%s")
 _JSON_ORDER = [_POINT_COLUMNS.index(k) for k in sorted(_POINT_COLUMNS)]
 
 #: json.dumps's spelling of the floats whose repr is no JSON number
@@ -93,39 +95,51 @@ def _task_dict(t: TaskResult, include_timings: bool, points) -> dict:
     }
 
 
-def _reprs(col, rows: int) -> list[str]:
-    """repr of a point column's value at every point.  A value that repeats,
-    as a grid value does along p1 or p2, is rendered once; 0.0 and -0.0 are
-    one key, so zeros are rendered one by one."""
+def _reprs(col, rows: int, spell: dict) -> list[str]:
+    """repr of a point column's value at every point, respelled by `spell`:
+    each distinct value of an array (keyed by its bits, so 0.0 and -0.0 stay
+    apart) is rendered once and gathered by index if values repeat, as on p1."""
     if not hasattr(col, "tolist"):
-        return [repr(col)] * rows
-    values = col.tolist()
-    distinct = set(values)
-    if 2 * len(distinct) > len(values):
-        return list(map(repr, values))
-    memo = {x: repr(x) for x in distinct if x}
-    return [memo[x] if x else repr(x) for x in values]
+        text = repr(col)
+        return [spell.get(text, text)] * rows
+    import numpy as np
+    keys, index = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+    gather = 2 * keys.size <= rows
+    strs = list(map(repr, (keys.view(col.dtype) if gather else col).tolist()))
+    if not spell.keys().isdisjoint(strs):
+        strs = [spell.get(s, s) for s in strs]
+    return np.array(strs, dtype=object)[index].tolist() if gather else strs
 
 
-def _rendered(points: dict, spell: dict | None = None) -> list[list[str]]:
-    """Per point column in CSV order, its value at every point as repr
-    gives it, respelled by `spell`.  A column that several names share (pp1
-    is p1) is rendered once."""
+def _rendered(points: dict, spell: dict) -> list[list[str]]:
+    """Per point column in CSV order, the strings _reprs gathers, which
+    _table lays out for the table's one join.  A column that several names
+    share (pp1 is p1) is rendered once."""
     rows = len(points["p1"])
     done: dict[int, list[str]] = {}
     for col in (points[name] for name in _POINT_COLUMNS):
         if id(col) not in done:
-            strs = _reprs(col, rows)
-            if spell and not spell.keys().isdisjoint(strs):
-                strs = [spell.get(s, s) for s in strs]
-            done[id(col)] = strs
+            done[id(col)] = _reprs(col, rows, spell)
     return [done[id(points[name])] for name in _POINT_COLUMNS]
+
+
+def _table(pieces: list[str], cols: list[list[str]]) -> list[str]:
+    """pieces[0], cols[0][i], pieces[1], ..., pieces[-1] for each row i, in one flat list."""
+    rows, width = len(cols[0]), 2 * len(cols) + 1
+    out = [pieces[0]] * (rows * width)
+    for j, col in enumerate(cols):
+        out[2 * j + 1::width] = col
+        out[2 * j + 2::width] = [pieces[j + 1]] * rows
+    return out
 
 
 def _json_points(points: dict) -> str:
     cols = _rendered(points, _JSON_NONFINITE)
-    rows = zip(*(cols[i] for i in _JSON_ORDER))
-    return "[\n" + ",\n".join(_JSON_POINT % row for row in rows) + "\n" + " " * 8 + "]"
+    out = _table(_JSON_PIECES, [cols[i] for i in _JSON_ORDER])
+    if not out:
+        return "[]"
+    out[0], out[-1] = "[\n" + out[0], out[-1][:-2] + "\n" + " " * 8 + "]"  # no comma after the last point
+    return "".join(out)
 
 
 def _csv_line(fields) -> str:
@@ -137,7 +151,7 @@ def _csv_line(fields) -> str:
 def _csv_points(idx: int, t: TaskResult) -> str:
     head = _csv_line([idx, t.kind, ""])[:-1]
     tail = _csv_line(["", t.verdict, ""])
-    return "".join(head + ",".join(row) + tail for row in zip(*_rendered(t.points)))
+    return "".join(_table([head] + [","] * (len(_POINT_COLUMNS) - 1) + [tail], _rendered(t.points, {})))
 
 
 def emit_report(report: Report, fmt: str = "json", include_timings: bool = False) -> bytes:
@@ -154,26 +168,23 @@ def emit_report(report: Report, fmt: str = "json", include_timings: bool = False
                 "failed": report.failed,
                 "tasks": [_task_dict(t, include_timings, marker) for t in report.tasks],
             }
-            parts = json.dumps(doc, sort_keys=True, indent=2).split(json.dumps(marker))
+            parts = (json.dumps(doc, sort_keys=True, indent=2) + "\n").split(json.dumps(marker))
             if len(parts) == len(blocks) + 1:
                 break
             marker += "@"  # some input holds the marker: try a longer one
         out = [parts[0]]
         for block, part in zip(blocks, parts[1:]):
             out += [block, part]
-        return ("".join(out) + "\n").encode()
+        return "".join(out).encode()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        out = [_csv_line(CSV_HEADER)]
         for idx, t in enumerate(report.tasks):
             if t.points:
-                buf.write(_csv_points(idx, t))
+                out.append(_csv_points(idx, t))
             else:
-                writer.writerow(
-                    [idx, t.kind, "", "", "", "", "", "", "", "", t.max_error if t.max_error is not None else "", t.verdict, t.summary]
-                )
-        return buf.getvalue().encode()
+                error = t.max_error if t.max_error is not None else ""
+                out.append(_csv_line([idx, t.kind, *[""] * 8, error, t.verdict, t.summary]))
+        return "".join(out).encode()
     if fmt == "text":
         lines = [f"scenario: {report.scenario.get('name', '<inline>')}"]
         lines.append(f"engine: genstar {report.engine_version}")

@@ -572,27 +572,31 @@ def position_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     return delta.amplitude  # the (2 pi)^2 delta weight cancels the 1/(2 pi)^2 prefactors
 
 
-def _coherent_state(theta, *momenta) -> tuple[float, float, list[complex]]:
-    """theta as a float, s = sqrt(theta/2) and, per momentum p, the weight
-    sqrt(theta/2 pi) exp(-theta |p|^2 / 4) of the coherent/momentum overlap
-    (z,zbar|p) = weight * exp(i s (p zbar + pbar z)); coherent states need
-    theta > 0."""
+def _coherent_state(theta, p1, p2) -> tuple[float, float, np.ndarray]:
+    """theta as a float, s = sqrt(theta/2) and, per momentum p = p1 + i p2,
+    the weight sqrt(theta/2 pi) exp(-theta |p|^2 / 4) of the
+    coherent/momentum overlap (z,zbar|p) = weight * exp(i s (p zbar + pbar z));
+    coherent states need theta > 0.  The weights have the formula's bits on
+    Python floats: np.hypot is abs, |p|^2 is float ** (libm pow; np.square
+    differs), and the exp is numpy's complex one (the real one may not be)."""
     t = _positive_theta(theta, "coherent states need")
-    pref = math.sqrt(t / TWO_PI)
-    try:
-        weights = [pref * cmath.exp(-t * abs(p) ** 2 / 4.0) for p in momenta]
-    except OverflowError as exc:
-        big = max(abs(p) for p in momenta)
-        raise ValidationError(f"coherent states: theta |p|^2 overflows at |p| = {big:.3g}") from exc
-    return t, math.sqrt(t / 2.0), weights
+    with np.errstate(over="ignore"):  # as on floats: |p| or -t |p|^2 may pass the range
+        mag = np.hypot(p1, p2)
+        try:
+            if np.isinf(mag).any():
+                raise OverflowError("absolute value too large")
+            sq = np.array([v ** 2 for v in mag.tolist()])
+        except OverflowError as exc:
+            raise ValidationError(f"coherent states: theta |p|^2 overflows at |p| = {mag.max():.3g}") from exc
+        return t, math.sqrt(t / 2.0), math.sqrt(t / TWO_PI) * np.exp((-t * sq / 4.0).astype(complex))
 
 
 def coherent_momentum_overlap(z, p, theta) -> complex:
     """Closed-form coherent/momentum-state overlap:
     sqrt(theta/2 pi) exp(-theta |p|^2 / 4) exp(i sqrt(theta/2)(p zbar + pbar z))."""
     z, p = _finite_complex("z", z), _finite_complex("p", p)
-    _, s, (weight,) = _coherent_state(theta, p)
-    return weight * cmath.exp(1j * s * (p * z.conjugate() + p.conjugate() * z))
+    _, s, weight = _coherent_state(theta, [p.real], [p.imag])
+    return weight.item() * cmath.exp(1j * s * (p * z.conjugate() + p.conjugate() * z))
 
 
 def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
@@ -604,10 +608,10 @@ def coherent_roi_amplitude(params: DeformationParams, p, pprime) -> complex:
     identity-resolution verdict.  Voros parameters give exactly 1.
     """
     p, q = _finite_complex("p", p), _finite_complex("pprime", pprime)
-    t, s, (bra_weight, ket_weight) = _coherent_state(params.theta, q, p)
+    t, s, weights = _coherent_state(params.theta, [q.real, p.real], [q.imag, p.imag])
     # (p'|z,zbar) = conj[(z,zbar|p')] and (z,zbar|p), as functions of (z, zbar)
-    bra = WaveSum.z_exponential(-1j * s * q.conjugate(), -1j * s * q, amplitude=bra_weight)
-    ket = WaveSum.z_exponential(1j * s * p.conjugate(), 1j * s * p, amplitude=ket_weight)
+    bra = WaveSum.z_exponential(-1j * s * q.conjugate(), -1j * s * q, amplitude=weights.item(0))
+    ket = WaveSum.z_exponential(1j * s * p.conjugate(), 1j * s * p, amplitude=weights.item(1))
     delta = plane_integral_z(star_wave(bra, ket, params))
     # delta(2s(p1-p1')) delta(2s(p2-p2')) = delta2(p - p') / (2 theta)
     return delta.amplitude / (2.0 * t)
@@ -648,8 +652,7 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
                 ket = (amplitude, _Pairs(p1, 0.0), _Pairs(p2, 0.0))
                 plane = lambda a: a * TWO_PI**2
             else:
-                t, s, weights = _coherent_state(params.theta, *map(complex, p1.tolist(), p2.tolist()))
-                weights = np.array(weights, dtype=complex)
+                t, s, weights = _coherent_state(params.theta, p1, p2)
                 weight, p, frame = _Pairs(weights.real, weights.imag), _Pairs(p1, p2), COMPLEX
                 bra = (weight, -1j * s * p.conjugate(), -1j * s * p)
                 ket = (weight, 1j * s * p.conjugate(), 1j * s * p)
@@ -733,7 +736,7 @@ def coherent_roi_kernel(params: DeformationParams) -> KernelAmplitude:
     -theta(|p|^2 + |p'|^2)/4 on the diagonal, with p and p' swapped because
     the coherent bra carries p' where the position bra carries p.
     """
-    t, _, _ = _coherent_state(params.theta)
+    t = _positive_theta(params.theta, "coherent states need")
     swap = [2, 3, 0, 1]
     q = _position_form(params)[np.ix_(swap, swap)]
     return KernelAmplitude(q + np.diag(np.full(4, -t / 4.0)))

@@ -200,6 +200,25 @@ def test_eval_rejects_poly_times_wave():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1 * exp(i*x1)", "cannot multiply a polynomial by an exponential sum (right operand: exp(i*x1))"),
+        ("exp(i*x1) ** x2^2", "cannot star a polynomial with an exponential sum (right operand: x2^2)"),
+        ("exp(exp(1000))", "numeric overflow: math range error in exp(1000)"),
+        ("x1 + (1 + 2i)^2000", "numeric overflow: complex exponentiation in (1 + 2i)^2000"),
+        # a long operand is cut to 60 characters
+        ("exp(1000" + " + x1" * 20 + ")", "numeric overflow: math range error in exp(1000" + " + x1" * 10 + " …"),
+    ],
+)
+def test_evaluation_errors_name_the_operand_at_fault(text, message):
+    from genstar.exprio import EvaluationError
+
+    with pytest.raises(EvaluationError) as err:
+        evaluate_expression(parse_expression(text), make_params(1.0))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "exp(x1^2)",
@@ -551,10 +570,13 @@ def test_voros_tasks_on_constants_and_mixed_operands(task, outputs):
     "task, error",
     [
         ('equivalence f="x1" g="exp(i*x1)"', "equivalence needs two polynomials or two exponential sums"),
-        ('eval expr="x1 + exp(i*x1)"', "cannot add a polynomial and an exponential sum"),
+        ('eval expr="x1 + exp(i*x1)"', "cannot add a polynomial and an exponential sum (right operand: exp(i*x1))"),
         # '-' evaluates its right operand first; '+' its left operand first
-        ('eval expr="exp(1000) - (x1 + exp(i*x1))"', "cannot add a polynomial and an exponential sum"),
-        ('eval expr="exp(1000) + (x1 + exp(i*x1))"', "numeric overflow: math range error"),
+        ('eval expr="exp(1000) - (x1 + exp(i*x1))"',
+         "cannot add a polynomial and an exponential sum (right operand: exp(i*x1))"),
+        ('eval expr="exp(1000) + (x1 + exp(i*x1))"', "numeric overflow: math range error in exp(1000)"),
+        ('eval expr="x1 + 10^400 - exp(1000)"', "numeric overflow: math range error in exp(1000)"),
+        ('eval expr="x1 + 10^400 + exp(1000)"', "numeric overflow: complex exponentiation in 10^400"),
     ],
 )
 def test_voros_task_errors(task, error):
@@ -673,7 +695,7 @@ _USER_TEXT = st.one_of(
 
 @st.composite
 def _point_columns(draw):
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 8))  # an empty table is "points": []
     column = st.lists(_FLOATS, min_size=n, max_size=n).map(np.array)
     # values that repeat, as a grid value does along p1, are rendered once
     pool = draw(st.lists(_FLOATS, min_size=1, max_size=3))
@@ -712,6 +734,40 @@ def _task_results(draw):
 def test_column_emitter_writes_the_bytes_of_the_list_of_dicts_oracle(name, tasks, failed):
     report = Report(scenario={"name": name, "params": {"theta": 1.0}}, engine_version="0.1.0",
                     tasks=tasks, failed=failed)
+    for fmt in ("json", "csv"):
+        assert emit_report(report, fmt) == _oracle_report_bytes(report, fmt)
+
+
+@st.composite
+def _grid_columns(draw):
+    """Columns over an axis x axis grid, p1 outermost, as roi_diagonal lays
+    them out: every value of p1 and p2 repeats, and the amplitude columns
+    are one value or drawn from a small pool."""
+    axis = np.array(draw(st.lists(_FLOATS, min_size=1, max_size=20)))
+    p1, p2 = np.repeat(axis, axis.size), np.tile(axis, axis.size)
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+    amplitude = st.one_of(
+        st.sampled_from(pool),
+        st.lists(st.sampled_from(pool), min_size=p1.size, max_size=p1.size).map(np.array),
+    )
+    return {"p1": p1, "p2": p2, "pp1": p1, "pp2": p2, "amp_re": draw(amplitude),
+            "amp_im": draw(amplitude), "ref_re": 1.0, "ref_im": 0.0, "abs_error": draw(amplitude)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=_grid_columns(), verdict=st.sampled_from(["pass", "finding"]), kind=_USER_TEXT)
+def test_column_emitter_writes_the_oracle_bytes_of_grid_shaped_tables(points, verdict, kind):
+    task = TaskResult(kind=kind, inputs={}, outputs={"finding": None}, verdict=verdict, points=points)
+    report = Report(scenario={"name": "grid"}, engine_version="0.1.0", tasks=[task])
+    for fmt in ("json", "csv"):
+        assert emit_report(report, fmt) == _oracle_report_bytes(report, fmt)
+
+
+@pytest.mark.parametrize("task, params", [("coherent-roi", "preset = voros"),
+                                          ("position-roi", "phi11 = 0.3+0.1i\nphi12 = 0.1i")])
+def test_kernel_reports_on_a_40x40_grid_have_the_oracle_bytes(task, params):
+    report = run_scenario(parse_scenario(f"{params}\ntask {task} grid=-3:3:40\n"))
+    assert len(report.tasks[0].points["p1"]) == 40 * 40
     for fmt in ("json", "csv"):
         assert emit_report(report, fmt) == _oracle_report_bytes(report, fmt)
 

@@ -659,6 +659,12 @@ def test_roi_diagonal_raises_the_scalar_error_at_the_first_failing_point():
     # a momentum whose |p|^2 overflows is named as the scalar walk meets it
     with pytest.raises(ValidationError, match=r"overflows at \|p\| = 1\.41e\+200"):
         roi_diagonal("coherent", voros, [-1e200, 0.0, 1e300])
+    # so is a finite momentum whose |p| itself passes the float range
+    for call in (lambda: roi_diagonal("coherent", voros, [1.7e308]),
+                 lambda: coherent_roi_amplitude(voros, 1.7e308 + 1.7e308j, 1.7e308 + 1.7e308j),
+                 lambda: coherent_momentum_overlap(0, 1.7e308 + 1.7e308j, 1.0)):
+        with pytest.raises(ValidationError, match=r"overflows at \|p\| = inf"):
+            call()
 
 
 def test_roi_diagonal_raises_the_first_points_scalar_error_before_the_batch():
