@@ -11,7 +11,7 @@ import cmath
 import math
 
 from ..deformation import DeformationParams
-from ..errors import EngineError
+from ..errors import EngineError, ValidationError
 from ..polystar import CARTESIAN, Polynomial2, star_poly
 from ..wavestar import ExpLinearTerm, WaveSum, star_wave
 from .parser import Chain, Exp, Expression, Neg, Node, Num, Pow, Var, pretty
@@ -119,8 +119,8 @@ def _eval(node: Node, params: DeformationParams) -> Value:
                     value = _star(value, right, params)
                 else:
                     value = _mul(value, right) if op == "*" else _add(value, right)
-            except EvaluationError as exc:  # a polynomial meets an exponential sum
-                raise EvaluationError(f"{exc} (right operand: {_named(x)})") from None
+            except (EvaluationError, ValidationError) as exc:  # mixed classes, or an overflow
+                raise type(exc)(f"{exc} (right operand: {_named(x)})") from None
         return value
     if isinstance(node, (Pow, Exp)):
         arg = _eval(node.base if isinstance(node, Pow) else node.arg, params)

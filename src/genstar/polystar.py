@@ -8,7 +8,11 @@ w d_i d_j, which one kernel, `_exp_operator`, applies in turn: term k of
 exp(w d_i d_j) is the array shifted by k along axes i and j, times
 (w^k / k!) (a)_k (b)_k with the falling factorials (a)_k = a!/(a-k)!.  The
 star product runs it on the tensor f(x) g(y) and sums that tensor into
-(a1 + b1, a2 + b2) to set y = x (`_contract`).
+(a1 + b1, a2 + b2) to set y = x (`_contract`).  The kernel works on stacks,
+a last axis of polynomials zero-padded to one box, each with its own
+weights; a single call is a batch of one.  The powers w^k / k! follow
+Python's complex arithmetic on real pairs (numpy's complex product rounds
+differently), so a batch of one keeps its bits.
 
 The falling factorials are integers, exact below 2^53, that meet w^k / k!
 only in the scale, so all terms of one power k share its rounding and
@@ -94,17 +98,8 @@ class Polynomial2:
         return self
 
     def _store(self, c: np.ndarray, frame: str) -> None:
-        """Keep c once it is finite, with coefficients below PRUNE_TOL set to
-        0 and trailing zero rows and columns cut, so that equal polynomials
-        hold equal arrays."""
-        if not np.isfinite(c).all():
-            key = tuple(int(n[0]) for n in np.nonzero(~np.isfinite(c)))
-            raise ValidationError(f"coefficient of {key!r} must be finite, got {complex(c[key])!r}")
-        keep = np.abs(c) >= PRUNE_TOL
-        n1, n2 = keep.nonzero()
-        c = np.where(keep, c, 0j)[: n1[-1] + 1, : n2.max() + 1] if n1.size else np.zeros((1, 1), complex)
+        object.__setattr__(self, "_c", _canonical(c[..., None])[..., 0])
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_c", c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial2 is immutable")
@@ -227,22 +222,45 @@ class Polynomial2:
     def __hash__(self):
         return hash((self.frame, frozenset(self.items())))
 
-    @_quiet
     def max_diff(self, other: "Polynomial2") -> float:
         """Largest coefficient-wise absolute difference."""
-        return float(np.abs(_sum(self._c, -self._coerce(other)._c)).max())
+        return float(_max_diff(self._c, self._coerce(other)._c))
 
     def __repr__(self) -> str:
         body = ", ".join(f"({n1},{n2}): {c}" for (n1, n2), c in self.items())
         return f"Polynomial2({{{body}}}, frame={self.frame!r})"
 
 
+def _canonical(c: np.ndarray) -> np.ndarray:
+    """The stack c[n1, n2, :] checked finite, coefficients below PRUNE_TOL set
+    to 0 and trailing rows and columns that are zero in every element cut, so
+    that equal polynomials hold equal arrays."""
+    if not np.isfinite(c).all():
+        key = tuple(int(n[0]) for n in np.nonzero(~np.isfinite(c)))
+        raise ValidationError(f"coefficient of {key[:2]!r} must be finite, got {complex(c[key])!r}")
+    keep = np.abs(c) >= PRUNE_TOL
+    n1, n2, _ = keep.nonzero()
+    return np.where(keep, c, 0j)[: n1.max(initial=0) + 1, : n2.max(initial=0) + 1]
+
+
+def _stack(polys) -> np.ndarray:
+    """The polynomials' arrays along a last axis, zero-padded to one box."""
+    box = np.zeros(tuple(np.max([p._c.shape for p in polys], axis=0)))
+    return np.stack([_sum(p._c, box) for p in polys], axis=-1)
+
+
 def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b, zero-padded to the larger box."""
-    out = np.zeros((max(len(a), len(b)), max(a.shape[1], b.shape[1])), dtype=complex)
+    """a + b, zero-padded to the larger box in the first two axes."""
+    out = np.zeros(tuple(np.maximum(a.shape[:2], b.shape[:2])) + a.shape[2:], dtype=complex)
     out[: len(a), : a.shape[1]] += a
     out[: len(b), : b.shape[1]] += b
     return out
+
+
+@_quiet
+def _max_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The largest |a - b| over the first two axes."""
+    return np.abs(_sum(a, -b)).max(axis=(0, 1))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,10 +277,10 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The tensor a(x) b(y), axes (a1, a2, b1, b2).  The kernel keeps about
-    four such tensors alive at once."""
-    if a.size * b.size > _MAX_TENSOR:
-        raise ValidationError(f"the star product of {a.shape} and {b.shape} coefficient boxes "
+    """The tensors a(x) b(y) of two stacks, axes (a1, a2, b1, b2, batch).
+    The kernel keeps about four such tensors alive at once."""
+    if a.size * b.size > _MAX_TENSOR * a.shape[-1]:
+        raise ValidationError(f"the star product of {a.shape[:2]} and {b.shape[:2]} coefficient boxes "
                               f"needs a tensor of more than {_MAX_TENSOR} entries")
     return a[:, :, None, None] * b
 
@@ -278,41 +296,58 @@ def _falling_table(n: int):
     e[0] = 0
     steps = np.maximum(np.subtract.outer(1.0 - m, -m), 0.0)
     steps[0] = 1.0
-    table = np.cumprod(np.ldexp(steps, -e[:, None]), axis=0), np.cumsum(e)
-    for a in table:
-        a.flags.writeable = False
-    return table
+    table = np.cumprod(np.ldexp(steps, -e[:, None]), axis=0)
+    table.flags.writeable = False
+    return table, tuple(np.cumsum(e).tolist())
+
+
+def _powers(w: np.ndarray, top: int):
+    """(m, e): m[k - 1] 2^e[k - 1] = w^k / k! for k <= top, m[k - 1] holding
+    real, then imaginary parts.  Each step is Python's complex m = m * w / k
+    on real pairs, with the powers of two of w and k split off into e: that
+    rounds nothing, and |m| stays between 2^-k and 2^k."""
+    shift = np.frexp(np.abs(w))[1]
+    re, im = np.ldexp(w.real, -shift), np.ldexp(w.imag, -shift)
+    cross = np.array([[re, im], [-im, re]])  # (a, b) times w is a cross[0] + b cross[1]
+    m = np.empty((top,) + cross.shape[1:])
+    m[0] = cross[0]
+    for k in range(1, top):
+        np.add(m[k - 1][0] * cross[0], m[k - 1][1] * cross[1], out=m[k])
+        np.divide(m[k], math.frexp(k + 1)[0], out=m[k])
+    # k! is the divisors times 2^frexp(j)[1] for j = 2..k; the + 1 takes back j = 1
+    k = np.arange(1, top + 1)[:, None, None]
+    return m, k * shift + 1 - np.cumsum(np.frexp(k)[1], axis=0)
 
 
 def _exp_operator(c: np.ndarray, weights) -> np.ndarray:
     """exp(B) c for B = sum of w d_i d_j over the (w, i, j) in weights, one
-    term after another; axis n of c holds the exponent of variable n, and
-    i <= j."""
-    falling, binexp = _falling_table(max(c.shape))
-    for w, i, j in weights:
-        step = 2 if i == j else 1
-        top = (min(c.shape[i], c.shape[j]) - 1) // step  # the last power inside the box
-        if w == 0 or top < 1:
+    term after another, on each element of c's last axis with its own w;
+    axis n of c holds the exponent of variable n, and i <= j."""
+    falling, binexp = _falling_table(max(c.shape[:-1]))
+    w = np.array([w for w, _, _ in weights]).reshape(len(weights), -1)
+    steps = [(i, j, 2 if i == j else 1) for _, i, j in weights]
+    terms = [(i, j, step, (min(c.shape[i], c.shape[j]) - 1) // step if live else 0)  # last in the box
+             for (i, j, step), live in zip(steps, w.any(axis=1).tolist())]
+    top = max([t[3] for t in terms])
+    if top < 1:
+        return c
+    # s[k - 1, n] = w^k / k! times the powers of two of the falling factorials
+    # (a)_(step k) along axis i and (b)_k along axis j, so that no factor leaves
+    # the double range unless the product does; 0 past the weight's own top
+    m, e = _powers(w, top)
+    e += np.array([[binexp[step * k] + (binexp[k] if i != j else 0) if k <= stop else -2**30
+                    for i, j, step, stop in terms] for k in range(1, top + 1)])[..., None]
+    s = np.ldexp(m, e[:, None]).transpose(0, 2, 3, 1).copy().view(complex)[..., 0]
+    if not np.isfinite(s).all():
+        raise ValidationError("a term of the operator exponential exceeds the double range")
+    for n, (i, j, step, top) in enumerate(terms):
+        if top < 1:
             continue
-        # scale[k - 1] = (w^k / k!) (a)_(step k) along axis i, times (b)_k
-        # along axis j.  w^k / k! is kept as m 2^shift, and the powers of two
-        # of the falling factorials join shift before m is scaled, so no
-        # factor leaves the double range unless the product does
-        s, m, shift = [], 1.0, 0
-        try:
-            for k in range(1, top + 1):
-                m = m * w / k
-                e = math.frexp(abs(m))[1]
-                m, shift = m / 2.0**e, shift + e
-                e = shift + int(binexp[step * k]) + (int(binexp[k]) if i != j else 0)
-                s.append(complex(math.ldexp(m.real, e), math.ldexp(m.imag, e)))
-        except OverflowError:
-            raise ValidationError("a term of the operator exponential exceeds the double range") from None
-        scale = np.array(s)[:, None] * falling[step : step * top + 1 : step, : c.shape[i]]
+        scale = s[:top, n, None] * falling[step : step * top + 1 : step, : c.shape[i], None]
         shape = [top] + [1] * c.ndim
-        shape[1 + i] = c.shape[i]
+        shape[1 + i], shape[-1] = scale.shape[1:]
         if i != j:
-            scale = scale[:, :, None] * falling[1 : top + 1, None, : c.shape[j]]
+            scale = scale[:, :, None] * falling[1 : top + 1, None, : c.shape[j], None]
             shape[1 + j] = c.shape[j]
         scale = scale.reshape(shape)
         out = c.copy()
@@ -341,18 +376,37 @@ def _skew_sum(t: np.ndarray) -> np.ndarray:
 
 
 def _contract(t: np.ndarray) -> np.ndarray:
-    """Set y = x: t[a1, a2, b1, b2] summed into out[a1 + b1, a2 + b2]."""
-    rows = _skew_sum(t.transpose(0, 2, 1, 3))  # (a1 + b1, a2, b2)
-    return _skew_sum(rows.transpose(1, 2, 0)).T
-
-
-def _check_frames(f: Polynomial2, g: Polynomial2) -> str:
-    if f.frame != g.frame:
-        raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
-    return f.frame
+    """Set y = x: t[a1, a2, b1, b2, :] summed into out[a1 + b1, a2 + b2, :]."""
+    rows = _skew_sum(t.transpose(0, 2, 1, 3, 4))  # (a1 + b1, a2, b2, batch)
+    return _skew_sum(rows.transpose(1, 2, 0, 3)).transpose(1, 0, 2)
 
 
 @_quiet
+def _star(a: np.ndarray, b: np.ndarray, kernel) -> np.ndarray:
+    """The star products of two stacks, each under its kernel, before _canonical."""
+    k11, k12, k21, k22 = kernel
+    # exp(K_ab d_a e_b) on f(x) g(y), axes (a1, a2, b1, b2): d acts on x, e on y
+    return _contract(_exp_operator(_outer(a, b), ((k11, 0, 2), (k12, 0, 3), (k21, 1, 2), (k22, 1, 3))))
+
+
+@_quiet
+def _commutator(a: np.ndarray, b: np.ndarray, kernel) -> np.ndarray:
+    """a * b - b * a on two stacks, as _star does a * b."""
+    k11, k12, k21, k22 = kernel
+    # b * a is the same series with the kernel transposed; the diagonal terms of both run once
+    tensor = _exp_operator(_outer(a, b), ((k11, 0, 2), (k22, 1, 3)))
+    ab = _exp_operator(tensor, ((k12, 0, 3), (k21, 1, 2)))
+    ba = _exp_operator(tensor, ((k21, 0, 3), (k12, 1, 2)))
+    return _contract(ab - ba)
+
+
+def _batch_of_one(f: Polynomial2, g: Polynomial2, params: DeformationParams):
+    """f, g and their kernel as a batch of one."""
+    if f.frame != g.frame:
+        raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
+    return f._c[..., None], g._c[..., None], star_kernel(f.frame, params)
+
+
 def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """Star product of two polynomials, exact (the series terminates).
 
@@ -360,24 +414,12 @@ def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Poly
     cartesian frame, its z-frame image (which requires theta != 0) in the
     complex frame.
     """
-    frame = _check_frames(f, g)
-    k11, k12, k21, k22 = star_kernel(frame, params)
-    # exp(K_ab d_a e_b) on f(x) g(y), axes (a1, a2, b1, b2): d acts on x, e on y
-    tensor = _exp_operator(_outer(f._c, g._c), ((k11, 0, 2), (k12, 0, 3), (k21, 1, 2), (k22, 1, 3)))
-    return Polynomial2._from_array(_contract(tensor), frame)
+    return Polynomial2._from_array(_star(*_batch_of_one(f, g, params))[..., 0], f.frame)
 
 
-@_quiet
 def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
     """f * g - g * f under the star product."""
-    frame = _check_frames(f, g)
-    k11, k12, k21, k22 = star_kernel(frame, params)
-    # g * f is the same series with the kernel transposed; the diagonal
-    # terms of both run once
-    tensor = _exp_operator(_outer(f._c, g._c), ((k11, 0, 2), (k22, 1, 3)))
-    fg = _exp_operator(tensor, ((k12, 0, 3), (k21, 1, 2)))
-    gf = _exp_operator(tensor, ((k21, 0, 3), (k12, 1, 2)))
-    return Polynomial2._from_array(_contract(fg - gf), frame)
+    return Polynomial2._from_array(_commutator(*_batch_of_one(f, g, params))[..., 0], f.frame)
 
 
 @_quiet
@@ -390,7 +432,7 @@ def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     if f.frame != CARTESIAN:
         raise FrameMismatchError("the equivalence map acts on cartesian polynomials")
     weights = ((0.25j * params.phi11, 0, 0), (0.5j * params.phi12, 0, 1), (0.25j * params.phi22, 1, 1))
-    return Polynomial2._from_array(_exp_operator(f._c, weights), CARTESIAN)
+    return Polynomial2._from_array(_exp_operator(f._c[..., None], weights)[..., 0], CARTESIAN)
 
 
 def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> float:

@@ -788,6 +788,28 @@ def test_cli_eval_voros_wave(capsys):
     assert out.endswith("*exp(2i*x1)")
 
 
+@pytest.mark.parametrize(
+    "text, preset, message",
+    [
+        # the first text comes from Polynomial2's finiteness check on a star product
+        ("(1e200*x1^2) ** (1e200*x2^2)", ["--preset", "voros"],
+         "coefficient of (0, 0) must be finite, got (-inf+nanj) (right operand: 1e+200*x2^2)"),
+        ("1e200*exp(i*x1) * 1e200*exp(i*x1)", [],
+         "wave term (inf+0j) at wavevector ((1-0j), -0j) is not finite (right operand: 1e+200)"),
+    ],
+)
+def test_engine_errors_in_a_chain_step_name_the_operand(text, preset, message, capsys):
+    from genstar import ValidationError
+
+    params = preset_params("voros", 1.0) if preset else make_params(1.0)
+    with pytest.raises(ValidationError) as err:
+        evaluate_expression(parse_expression(text), params)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == message
+    assert main(["eval", text, *preset]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_cli_eval_bad_expression(capsys):
     assert main(["eval", "x1 +"]) == 2
     assert "error" in capsys.readouterr().err

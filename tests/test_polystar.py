@@ -26,7 +26,7 @@ from genstar import (
     to_complex_frame,
     xhat_apply,
 )
-from genstar.polystar import PRUNE_TOL
+from genstar.polystar import PRUNE_TOL, _canonical, _commutator, _stack, _star
 from genstar.suites import random_params, random_polynomial
 
 X1 = Polynomial2.variable("x1")
@@ -485,6 +485,35 @@ def test_array_tier_matches_dict_oracle(data, frame, params):
         s = 1 / np.sqrt(2 * t)
         sub = ({(1, 0): s, (0, 1): 1j * s}, {(1, 0): s, (0, 1): -1j * s})
         _assert_matches(to_cartesian_frame(f, t), _dict_substitute(fd, *sub), CARTESIAN)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), frame=st.sampled_from([CARTESIAN, COMPLEX]), size=st.integers(3, 5))
+def test_batched_kernel_matches_each_element(data, frame, size):
+    # ragged boxes padded into one stack; element 1 is Moyal, whose cartesian
+    # kernel has zero diagonal weights, and the last f is the zero polynomial.
+    # An element that read another element's kernel would fail this
+    params = [data.draw(_family()) for _ in range(size)]
+    params[1] = preset_params("moyal", params[1].theta)
+    fs = [data.draw(_operand(frame)) for _ in range(size - 1)] + [Polynomial2.zero(frame)]
+    gs = [data.draw(_operand(frame)) for _ in range(size)]
+    kernel = np.array([star_kernel(frame, p) for p in params]).T
+    stars = _canonical(_star(_stack(fs), _stack(gs), kernel))
+    brackets = _canonical(_commutator(_stack(fs), _stack(gs), kernel))
+    for b, (f, g, p) in enumerate(zip(fs, gs, params)):
+        k11, k12, k21, k22 = star_kernel(frame, p)
+        fg = _dict_star(f.terms, g.terms, k11, k12, k21, k22)
+        gf = _dict_star(f.terms, g.terms, k11, k21, k12, k22)
+        for batch, single, want, parts in (
+            (stars, star_poly(f, g, p), fg, ()),
+            (brackets, star_commutator(f, g, p), _dict_sum((1, fg), (-1, gf)), (fg, gf)),
+        ):
+            # relative to the largest coefficient of the result or, for a
+            # commutator, of the two products whose difference it is
+            got = Polynomial2._from_array(batch[..., b], frame)
+            scale = max((abs(c) for terms in (want, *parts) for c in terms.values()), default=0.0)
+            assert got.max_diff(single) <= 1e-13 * scale + PRUNE_TOL, b
+            _assert_matches(got, want, frame, *parts)
 
 
 def _assert_each_matches(got: Polynomial2, want: dict):

@@ -1,13 +1,16 @@
 """The shared verification suites run green and are reproducible."""
 
+import numpy as np
 import pytest
 
-from genstar import ValidationError
+from genstar import Polynomial2, ValidationError, star_commutator, star_poly
 from genstar.suites import (
     SUITE_NAMES,
     algebra_suite,
     equivalence_suite,
     fock_suite,
+    random_params,
+    random_polynomial,
     roi_suite,
     run_suites,
 )
@@ -71,3 +74,62 @@ def test_run_suites_trials_sets_both_algebra_counts():
     by_name = {c.name: c.detail for c in suite.checks}
     assert "over 7 random Phi" in by_name["commutator-invariance"]
     assert by_name["associativity"].startswith("7 random triples")
+
+
+# -- per-triple oracle for the batched law checks ------------------------------
+#
+# algebra_suite checks the star-bracket laws once over the stacks of all its
+# triples.  This is the per-triple loop it replaced, on the public functions
+# only, with the suite's draws and check texts written out again.
+
+
+def _law_errors(params, f, g, h) -> tuple[float, float, float, float]:
+    """Associativity, antisymmetry, Jacobi and Leibniz errors of one triple."""
+
+    def star(a, b):
+        return star_poly(a, b, params)
+
+    def bracket(a, b):
+        return star_commutator(a, b, params)
+
+    zero = Polynomial2.zero()
+    gh, f_g = star(g, h), bracket(f, g)
+    return (
+        star(star(f, g), h).max_diff(star(f, gh)),
+        (f_g + bracket(g, f)).max_diff(zero),
+        (bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) + bracket(h, f_g)).max_diff(zero),
+        bracket(f, gh).max_diff(star(f_g, h) + star(g, bracket(f, h))),
+    )
+
+
+def _oracle_algebra(seed, trials):
+    """(name, max_error, tolerance, detail) of each algebra check."""
+    rng = np.random.default_rng(seed)
+    thetas = (0.1, 1.0, 2.0)
+    commutator_params = [random_params(rng, theta=thetas[k % 3]) for k in range(trials)]
+    triples = [(random_params(rng), random_polynomial(rng), random_polynomial(rng), random_polynomial(rng))
+               for _ in range(trials)]
+    x1, x2 = Polynomial2.variable("x1"), Polynomial2.variable("x2")
+    invariance = max(star_commutator(x1, x2, p).max_diff(Polynomial2.constant(1j * p.theta))
+                     for p in commutator_params)
+    laws = [max(errors) for errors in zip(*(_law_errors(*triple) for triple in triples))]
+    return [
+        ("commutator-invariance", invariance, 1e-12,
+         f"[x1, x2] = i theta over {trials} random Phi, theta in {thetas}"),
+        ("associativity", laws[0], 1e-10, f"{trials} random triples, degree <= 4"),
+        ("antisymmetry", laws[1], 1e-10, ""),
+        ("jacobi", laws[2], 1e-10, ""),
+        ("leibniz", laws[3], 1e-10, ""),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2027])
+@pytest.mark.parametrize("trials", [1, 7, 10])
+def test_batched_law_checks_match_the_per_triple_oracle(seed, trials):
+    checks = algebra_suite(seed=seed, trials=trials).checks
+    want = _oracle_algebra(seed, trials)
+    assert [c.name for c in checks] == [name for name, *_ in want]
+    for check, (name, error, tolerance, detail) in zip(checks, want):
+        assert (check.tolerance, check.detail) == (tolerance, detail), name
+        assert check.passed == (error <= tolerance), name
+        assert abs(check.max_error - error) <= 1e-11, name
