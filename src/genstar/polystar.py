@@ -10,9 +10,9 @@ exp(w d_i d_j) is the array shifted by k along axes i and j, times
 star product runs it on the tensor f(x) g(y) and sums that tensor into
 (a1 + b1, a2 + b2) to set y = x (`_contract`).  The kernel works on stacks,
 a last axis of polynomials zero-padded to one box, each with its own
-weights; a single call is a batch of one.  The powers w^k / k! follow
-Python's complex arithmetic on real pairs (numpy's complex product rounds
-differently), so a batch of one keeps its bits.
+weights; a single call is a batch of one.  The powers w^k / k! are
+Python complex scalars, one run per weight and element (numpy's complex
+product rounds differently), so a batch of one keeps its bits.
 
 The falling factorials are integers, exact below 2^53, that meet w^k / k!
 only in the scale, so all terms of one power k share its rounding and
@@ -301,49 +301,38 @@ def _falling_table(n: int):
     return table, tuple(np.cumsum(e).tolist())
 
 
-def _powers(w: np.ndarray, top: int):
-    """(m, e): m[k - 1] 2^e[k - 1] = w^k / k! for k <= top, m[k - 1] holding
-    real, then imaginary parts.  Each step is Python's complex m = m * w / k
-    on real pairs, with the powers of two of w and k split off into e: that
-    rounds nothing, and |m| stays between 2^-k and 2^k."""
-    shift = np.frexp(np.abs(w))[1]
-    re, im = np.ldexp(w.real, -shift), np.ldexp(w.imag, -shift)
-    cross = np.array([[re, im], [-im, re]])  # (a, b) times w is a cross[0] + b cross[1]
-    m = np.empty((top,) + cross.shape[1:])
-    m[0] = cross[0]
-    for k in range(1, top):
-        np.add(m[k - 1][0] * cross[0], m[k - 1][1] * cross[1], out=m[k])
-        np.divide(m[k], math.frexp(k + 1)[0], out=m[k])
-    # k! is the divisors times 2^frexp(j)[1] for j = 2..k; the + 1 takes back j = 1
-    k = np.arange(1, top + 1)[:, None, None]
-    return m, k * shift + 1 - np.cumsum(np.frexp(k)[1], axis=0)
+def _powers(w: complex, exponents) -> list[complex]:
+    """w^k / k! times 2^exponents[k - 1] for k = 1, 2, ...  w^k / k! is kept
+    as m 2^shift, and the exponents join shift before m is scaled, so no
+    factor leaves the double range unless the product does."""
+    s, m, shift = [], 1.0, 0
+    try:
+        for k, e in enumerate(exponents, 1):
+            m = m * w / k
+            e2 = math.frexp(abs(m))[1]
+            m, shift = m / 2.0**e2, shift + e2
+            s.append(complex(math.ldexp(m.real, shift + e), math.ldexp(m.imag, shift + e)))
+    except OverflowError:
+        raise ValidationError("a term of the operator exponential exceeds the double range") from None
+    return s
 
 
 def _exp_operator(c: np.ndarray, weights) -> np.ndarray:
     """exp(B) c for B = sum of w d_i d_j over the (w, i, j) in weights, one
-    term after another, on each element of c's last axis with its own w;
-    axis n of c holds the exponent of variable n, and i <= j."""
+    term after another, on each element of c's last axis with its own
+    entry of the sequence w; axis n of c holds the exponent of variable n,
+    and i <= j."""
     falling, binexp = _falling_table(max(c.shape[:-1]))
-    w = np.array([w for w, _, _ in weights]).reshape(len(weights), -1)
-    steps = [(i, j, 2 if i == j else 1) for _, i, j in weights]
-    terms = [(i, j, step, (min(c.shape[i], c.shape[j]) - 1) // step if live else 0)  # last in the box
-             for (i, j, step), live in zip(steps, w.any(axis=1).tolist())]
-    top = max([t[3] for t in terms])
-    if top < 1:
-        return c
-    # s[k - 1, n] = w^k / k! times the powers of two of the falling factorials
-    # (a)_(step k) along axis i and (b)_k along axis j, so that no factor leaves
-    # the double range unless the product does; 0 past the weight's own top
-    m, e = _powers(w, top)
-    e += np.array([[binexp[step * k] + (binexp[k] if i != j else 0) if k <= stop else -2**30
-                    for i, j, step, stop in terms] for k in range(1, top + 1)])[..., None]
-    s = np.ldexp(m, e[:, None]).transpose(0, 2, 3, 1).copy().view(complex)[..., 0]
-    if not np.isfinite(s).all():
-        raise ValidationError("a term of the operator exponential exceeds the double range")
-    for n, (i, j, step, top) in enumerate(terms):
-        if top < 1:
+    for w, i, j in weights:
+        step = 2 if i == j else 1
+        top = (min(c.shape[i], c.shape[j]) - 1) // step  # the last power inside the box
+        if not any(w) or top < 1:
             continue
-        scale = s[:top, n, None] * falling[step : step * top + 1 : step, : c.shape[i], None]
+        # scale[k - 1, ..., n] = (w_n^k / k!) (a)_(step k) along axis i, times (b)_k
+        # along axis j; _powers takes the falling factorials' powers of two
+        exponents = [binexp[step * k] + (binexp[k] if i != j else 0) for k in range(1, top + 1)]
+        s = np.array([_powers(w_n, exponents) for w_n in w]).T
+        scale = s[:, None] * falling[step : step * top + 1 : step, : c.shape[i], None]
         shape = [top] + [1] * c.ndim
         shape[1 + i], shape[-1] = scale.shape[1:]
         if i != j:
@@ -404,7 +393,7 @@ def _batch_of_one(f: Polynomial2, g: Polynomial2, params: DeformationParams):
     """f, g and their kernel as a batch of one."""
     if f.frame != g.frame:
         raise FrameMismatchError(f"cannot star {f.frame!r} with {g.frame!r}")
-    return f._c[..., None], g._c[..., None], star_kernel(f.frame, params)
+    return f._c[..., None], g._c[..., None], [(k,) for k in star_kernel(f.frame, params)]
 
 
 def star_poly(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> Polynomial2:
@@ -422,6 +411,37 @@ def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -
     return Polynomial2._from_array(_commutator(*_batch_of_one(f, g, params))[..., 0], f.frame)
 
 
+_LAW_BATCH = 16  # most triples in one _law_errors batch: about 0.5 MiB per tensor at degree 4
+
+
+def _law_errors(triples) -> tuple[list[float], ...]:
+    """Associativity, antisymmetry, Jacobi and Leibniz errors of each cartesian
+    (params, f, g, h), each law step run once per batch on zero-padded stacks.
+    A step stars a product of two boxes of side <= d with a third, (2d - 1)^2 d^2
+    entries per triple, so a batch stays within _MAX_TENSOR."""
+    d = max((max(p._c.shape) for _, *polys in triples for p in polys), default=1)
+    size = max(1, min(_LAW_BATCH, _MAX_TENSOR // ((2 * d - 1) ** 2 * d**2)))
+    errors = ([], [], [], [])
+    for n in range(0, len(triples), size):
+        batch = triples[n : n + size]
+        kernel = list(zip(*(star_kernel(CARTESIAN, params) for params, *_ in batch)))
+        f, g, h = (_stack(polys) for polys in list(zip(*batch))[1:])
+
+        def star(a, b, op=_star):
+            return _canonical(op(a, b, kernel))
+
+        bracket = functools.partial(star, op=_commutator)
+        gh, f_g = star(g, h), bracket(f, g)  # [f, g] enters three laws
+        for out, (lhs, rhs) in zip(errors, (
+            (star(star(f, g), h), star(f, gh)),
+            (f_g, -bracket(g, f)),
+            (_sum(bracket(f, bracket(g, h)), bracket(g, bracket(h, f))), -bracket(h, f_g)),
+            (bracket(f, gh), _sum(star(f_g, h), star(g, bracket(f, h)))),
+        )):
+            out.extend(_max_diff(lhs, rhs).tolist())
+    return errors
+
+
 @_quiet
 def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """The equivalence map exp((i/4) Phi_ij d_i d_j) applied to f; exact.
@@ -431,7 +451,8 @@ def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """
     if f.frame != CARTESIAN:
         raise FrameMismatchError("the equivalence map acts on cartesian polynomials")
-    weights = ((0.25j * params.phi11, 0, 0), (0.5j * params.phi12, 0, 1), (0.25j * params.phi22, 1, 1))
+    weights = (((0.25j * params.phi11,), 0, 0), ((0.5j * params.phi12,), 0, 1),
+               ((0.25j * params.phi22,), 1, 1))
     return Polynomial2._from_array(_exp_operator(f._c[..., None], weights)[..., 0], CARTESIAN)
 
 

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .deformation import CARTESIAN, COMPLEX, DeformationParams, make_params, preset_params, star_kernel
+from .deformation import COMPLEX, DeformationParams, make_params, preset_params, star_kernel
 from .errors import ValidationError
 from .fockspace import (
     FockOp,
@@ -24,8 +24,7 @@ from .fockspace import (
     overlap_vs_closedform,
     quantum_ops,
 )
-from .polystar import (Polynomial2, _canonical, _commutator, _max_diff, _stack, _star, _sum,
-                       poly_equivalence_residual, star_commutator)
+from .polystar import Polynomial2, _law_errors, poly_equivalence_residual, star_commutator
 from .wavestar import WaveSum, coherent_roi_amplitude, equivalence_residual, roi_diagonal
 
 SUITE_NAMES = ("algebra", "equivalence", "roi", "fock")
@@ -106,27 +105,6 @@ def random_wavesum(rng) -> WaveSum:
 
 
 # -- suites ----------------------------------------------------------------
-
-
-def _law_errors(triples) -> tuple[list[float], ...]:
-    """Associativity, antisymmetry, Jacobi and Leibniz errors of each (params,
-    f, g, h), each law step run once on the zero-padded stacks of all triples."""
-    kernel = np.array([star_kernel(CARTESIAN, params) for params, *_ in triples]).T
-    f, g, h = (_stack(polys) for polys in list(zip(*triples))[1:])
-
-    def star(a, b, op=_star):
-        return _canonical(op(a, b, kernel))
-
-    def bracket(a, b):
-        return star(a, b, _commutator)
-
-    gh, f_g = star(g, h), bracket(f, g)  # [f, g] enters three laws
-    return tuple(_max_diff(lhs, rhs).tolist() for lhs, rhs in (
-        (star(star(f, g), h), star(f, gh)),
-        (f_g, -bracket(g, f)),
-        (_sum(bracket(f, bracket(g, h)), bracket(g, bracket(h, f))), -bracket(h, f_g)),
-        (bracket(f, gh), _sum(star(f_g, h), star(g, bracket(f, h)))),
-    ))
 
 
 def algebra_suite(seed: int = 0, trials: int | None = None) -> SuiteResult:

@@ -497,7 +497,7 @@ def test_batched_kernel_matches_each_element(data, frame, size):
     params[1] = preset_params("moyal", params[1].theta)
     fs = [data.draw(_operand(frame)) for _ in range(size - 1)] + [Polynomial2.zero(frame)]
     gs = [data.draw(_operand(frame)) for _ in range(size)]
-    kernel = np.array([star_kernel(frame, p) for p in params]).T
+    kernel = list(zip(*(star_kernel(frame, p) for p in params)))
     stars = _canonical(_star(_stack(fs), _stack(gs), kernel))
     brackets = _canonical(_commutator(_stack(fs), _stack(gs), kernel))
     for b, (f, g, p) in enumerate(zip(fs, gs, params)):

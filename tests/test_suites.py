@@ -78,7 +78,7 @@ def test_run_suites_trials_sets_both_algebra_counts():
 
 # -- per-triple oracle for the batched law checks ------------------------------
 #
-# algebra_suite checks the star-bracket laws once over the stacks of all its
+# algebra_suite checks the star-bracket laws on the stacks of batches of its
 # triples.  This is the per-triple loop it replaced, on the public functions
 # only, with the suite's draws and check texts written out again.
 
@@ -133,3 +133,22 @@ def test_batched_law_checks_match_the_per_triple_oracle(seed, trials):
         assert (check.tolerance, check.detail) == (tolerance, detail), name
         assert check.passed == (error <= tolerance), name
         assert abs(check.max_error - error) <= 1e-11, name
+
+
+@pytest.mark.parametrize("batch, max_tensor", [(3, None), (16, 3 * 81 * 25)])
+def test_law_checks_in_several_batches_match_the_per_triple_oracle(monkeypatch, batch, max_tensor):
+    # degree-4 triples make tensors of up to 9 x 9 x 5 x 5 entries per triple;
+    # a budget of three such triples, or three triples per batch, splits ten
+    # triples into four batches, each of which must stay within the budget
+    from genstar import polystar
+
+    monkeypatch.setattr(polystar, "_LAW_BATCH", batch)
+    if max_tensor is not None:
+        monkeypatch.setattr(polystar, "_MAX_TENSOR", max_tensor)
+    rng = np.random.default_rng(5)
+    triples = [(random_params(rng), random_polynomial(rng), random_polynomial(rng), random_polynomial(rng))
+               for _ in range(10)]
+    want = list(zip(*(_law_errors(*triple) for triple in triples)))
+    for errors, oracle in zip(polystar._law_errors(triples), want, strict=True):
+        assert len(errors) == len(oracle)
+        assert np.allclose(errors, oracle, rtol=0, atol=1e-11)
