@@ -32,6 +32,15 @@ _FRAME_VARIABLES = {CARTESIAN: ("x1", "x2"), COMPLEX: ("z", "zbar")}
 _MAX_TENSOR = 1 << 22
 
 
+def _complex(what: str, value) -> complex:
+    """value as a Python complex, or a ValidationError saying that `what`
+    needs complex numbers."""
+    try:
+        return complex(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
+        raise ValidationError(f"{what} needs complex numbers: {exc}") from exc
+
+
 def _finite_complex(name: str, value) -> complex:
     try:
         z = complex(value)

@@ -149,8 +149,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EngineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EngineError, OSError, MemoryError) as exc:  # MemoryError: what no size bound catches
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -51,8 +51,9 @@ _PARAM_KEYS = ("theta", *_PHI_KEYS, "preset", "seed", "trials")
 #: header keys holding plain numbers, with the type each converts to
 _NUMBER_KEYS = {"theta": float, "seed": int, "trials": int}
 
-#: the largest fock-check n: its N x N matrices stay within the engine's one array bound
-_MAX_FOCK_DIM = math.isqrt(_MAX_TENSOR)
+#: the largest fock-check n and RoI grid count: N x N matrices and count^2 grid
+#: points stay within the engine's one array bound
+_MAX_SIDE = math.isqrt(_MAX_TENSOR)
 
 
 class ScenarioError(EngineError):
@@ -118,6 +119,8 @@ def parse_grid(text: str) -> tuple[float, float, int]:
         raise ScenarioError(f"bad grid {text!r}: {exc}") from exc
     if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ScenarioError(f"bad grid {text!r}; need finite min <= max and count >= 1")
+    if n > _MAX_SIDE or not math.isfinite(hi - lo):
+        raise ScenarioError(f"bad grid {text!r}; need count <= {_MAX_SIDE} and max - min finite")
     return lo, hi, n
 
 
@@ -156,8 +159,8 @@ def prepare_task(kind: str, options: dict[str, str], line: int) -> Task:
             raise ScenarioError(f"line {line}: task {kind} needs {key}=...")
         where = f"line {line}: task {kind} option {key}"
         prepared[key] = None if text is None else _convert(convert, key, text, where)
-    if kind == "fock-check" and not 2 <= prepared["n"] <= _MAX_FOCK_DIM:
-        raise ScenarioError(f"line {line}: fock-check needs n >= 2 and n <= {_MAX_FOCK_DIM}")
+    if kind == "fock-check" and not 2 <= prepared["n"] <= _MAX_SIDE:
+        raise ScenarioError(f"line {line}: fock-check needs n >= 2 and n <= {_MAX_SIDE}")
     return Task(kind=kind, options=dict(options), prepared=prepared, line=line)
 
 

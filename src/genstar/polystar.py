@@ -38,6 +38,7 @@ from .deformation import (
     _FRAME_VARIABLES,
     _MAX_TENSOR,
     DeformationParams,
+    _complex,
     _positive_theta,
     star_kernel,
 )
@@ -81,10 +82,10 @@ class Polynomial2:
             raise ValidationError(f"unknown frame {frame!r}; expected one of {FRAMES}")
         clean: dict[tuple[int, int], complex] = {}
         for key, coeff in (terms or {}).items():
-            n1, n2 = key
+            n1, n2 = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 0 or n2 < 0:
                 raise ValidationError(f"exponents must be non-negative integers, got {key!r}")
-            clean[int(n1), int(n2)] = complex(coeff)
+            clean[int(n1), int(n2)] = _complex("a polynomial coefficient", coeff)
         c = np.zeros(tuple(max(n) + 1 for n in zip(*clean)) or (1, 1), dtype=complex)
         for key, value in clean.items():
             c[key] = value
@@ -112,7 +113,7 @@ class Polynomial2:
 
     @classmethod
     def constant(cls, value, frame: str = CARTESIAN) -> "Polynomial2":
-        return cls({(0, 0): complex(value)}, frame)
+        return cls({(0, 0): value}, frame)
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial2":
@@ -177,7 +178,8 @@ class Polynomial2:
     @_quiet
     def __mul__(self, other) -> "Polynomial2":
         if not isinstance(other, Polynomial2):
-            return Polynomial2._from_array(self._c * complex(other), self.frame)
+            c = _complex("a polynomial coefficient", other)
+            return Polynomial2._from_array(self._c * c, self.frame)
         return Polynomial2._from_array(_product(self._c, self._coerce(other)._c), self.frame)
 
     __rmul__ = __mul__

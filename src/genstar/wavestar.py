@@ -16,36 +16,34 @@ coherent_roi_kernel is the position kernel transported that way.
 
 A private pair-array type, _Pairs, replays CPython's complex arithmetic
 step by step on float64 real and imaginary arrays (products as real pairs,
-a float widened to (x, 0.0), division as _Py_c_quot, np.exp for cmath.exp),
-so the pair step written once (_pair: the amplitude product and the star
-pair factor exp(K_ab d_a e_b)) has the same bits on Python complex numbers
-and on arrays.  The scalar loop, the array products and roi_diagonal's
-grid all take their pairs through it.  roi_diagonal writes the grid itself:
-it builds each family's bra and ket for every diagonal point at once, with
-K from star_kernel and the state weights from _coherent_state, and takes
-them through that step, so every amplitude has the bits of the scalar
-*_roi_amplitude functions, which stay the reference and handle the points
-at the edge of the float range.
+a float widened to (x, 0.0), division as _Py_c_quot, and cmath.exp's
+results and bits from _Pairs.exp), so the pair step written once (_pair:
+the amplitude product and the star pair factor exp(K_ab d_a e_b)) has the
+same bits on Python complex numbers and on arrays.  The scalar loop, the
+array products and roi_diagonal's grid all take their pairs through it.
+roi_diagonal writes the grid itself: it builds each family's bra and ket
+for every diagonal point at once, with K from star_kernel and the state
+weights from _coherent_state, and takes them through that step, so every
+amplitude has the bits of the scalar *_roi_amplitude functions, which stay
+the reference and handle the points where they raise or give 0.
 
-Every WaveSum is canonical, by one rule (``_merge``): terms whose
+Every WaveSum is canonical, by one rule (``_merge``): each term's amplitude
+and wavevector are stored as Python complex numbers, terms whose
 wavevector components fall in the same WVEC_TOL cells merge, each group's
 amplitude is the exactly rounded sum of its parts, a group is dropped only
 when it cancels to within AMP_TOL of the mass that went into it, and the
 terms are sorted by wavevector.  The result does not depend on term order.
 
 star_wave and pointwise_mul take one of two paths by the pair count n*m,
-and both give the same bits.  Below _ARRAY_PAIRS a loop forms each pair on
-Python complex numbers and _merge merges them; numpy's fixed cost per call
-makes that loop several times faster on the few-pair products of the
-suites and RoI kernels.  From _ARRAY_PAIRS on, every pair's exponent,
-factor and amplitude are formed at once on _Pairs, and _merge_sorted
-groups the pairs by one sort on the same cell keys, taking math.fsum over
-each group of more than one.  On a 2-CPU x86 host (Python 3.11) the two
-cost the same at about 100-110 pairs when the pairs merge (integer
-lattices) and about 125-140 when they do not.
-A pair exponent past cmath.exp's unscaled range, a term that is not
-finite, or a merged sum that overflows sends the whole product back to the
-loop, so each error keeps its text and its first failing pair.
+and both give the same bits and raise the same first error.  Below
+_ARRAY_PAIRS a loop forms each pair on Python complex numbers and _merge
+merges them; numpy's fixed cost per call makes that loop several times
+faster on the few-pair products of the suites and RoI kernels.  From
+_ARRAY_PAIRS on, every pair's exponent, factor and amplitude are formed at
+once on _Pairs, and _merge_sorted groups the pairs by one sort on the same
+cell keys, taking math.fsum over each group of more than one.  On a 2-CPU
+x86 host (Python 3.11) the two cost the same at about 100-110 pairs when
+the pairs merge (integer lattices) and about 125-140 when they do not.
 """
 
 from __future__ import annotations
@@ -61,6 +59,7 @@ from .deformation import (
     COMPLEX,
     FRAMES,
     DeformationParams,
+    _complex,
     _finite_complex,
     _finite_real,
     _positive_theta,
@@ -139,12 +138,12 @@ class WaveSum:
     @classmethod
     def plane_wave(cls, k1, k2, amplitude=1.0) -> "WaveSum":
         """amplitude * exp(i(k1 x1 + k2 x2))."""
-        return cls((_term(CARTESIAN, amplitude, k1, k2),), CARTESIAN)
+        return cls((ExpLinearTerm(amplitude, CARTESIAN, (k1, k2)),), CARTESIAN)
 
     @classmethod
     def z_exponential(cls, a, b, amplitude=1.0) -> "WaveSum":
         """amplitude * exp(a z + b zbar)."""
-        return cls((_term(COMPLEX, amplitude, a, b),), COMPLEX)
+        return cls((ExpLinearTerm(amplitude, COMPLEX, (a, b)),), COMPLEX)
 
     @property
     def is_zero(self) -> bool:
@@ -158,7 +157,7 @@ class WaveSum:
         return WaveSum(self.terms + other.terms, self.frame)
 
     def __mul__(self, scalar) -> "WaveSum":
-        c = complex(scalar)
+        c = _complex("a wave term", scalar)
         return WaveSum(
             tuple(ExpLinearTerm(t.amplitude * c, t.frame, t.wavevector) for t in self.terms),
             self.frame,
@@ -182,38 +181,31 @@ class WaveSum:
         return sum((t.evaluate(v1, v2) for t in self.terms), 0j)
 
 
-def _term(frame: str, amplitude, k1, k2) -> ExpLinearTerm:
-    try:
-        return ExpLinearTerm(complex(amplitude), frame, (complex(k1), complex(k2)))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"a wave term needs complex numbers: {exc}") from exc
-
-
 def _order(t: ExpLinearTerm) -> tuple[float, float, float, float]:
     k1, k2 = t.wavevector
     return (k1.real, k1.imag, k2.real, k2.imag)
 
 
 def _merge(terms, frame: str, prune: bool = True) -> tuple[ExpLinearTerm, ...]:
-    """The one place wave terms are checked, matched, summed and pruned, by
-    the rule in the module docstring (_merge_sorted applies the same rule to
-    the array path's pairs); prune=False keeps every group.  Terms must be
-    in `frame` with finite amplitudes and wavevectors."""
+    """The one place wave terms are checked, converted, matched, summed and
+    pruned, by the rule in the module docstring (_merge_sorted applies the
+    same rule to the array path's pairs); prune=False keeps every group.
+    Terms must be in `frame` with finite amplitudes and wavevectors."""
     groups: dict[tuple, list[ExpLinearTerm]] = {}
     for t in terms:
         if t.frame != frame:
             raise FrameMismatchError(f"term frame {t.frame!r} does not match sum frame {frame!r}")
         a, (k1, k2) = t.amplitude, t.wavevector
-        try:
-            if not (cmath.isfinite(a) and cmath.isfinite(k1) and cmath.isfinite(k2)):
-                raise ValidationError(f"wave term {a!r} at wavevector {(k1, k2)!r} is not finite")
-        except TypeError as exc:
-            raise ValidationError(f"a wave term needs complex numbers: {exc}") from exc
+        a, k1, k2 = _complex("a wave term", a), _complex("a wave term", k1), _complex("a wave term", k2)
+        if not (cmath.isfinite(a) and cmath.isfinite(k1) and cmath.isfinite(k2)):
+            raise ValidationError(f"wave term {a!r} at wavevector {(k1, k2)!r} is not finite")
         # x - remainder(x, WVEC_TOL) is x snapped to its cell n * WVEC_TOL; remainder is
         # exact, so the key depends on n alone, never overflows, and keeps distinct huge x apart
-        x1, y1, x2, y2 = _order(t)
+        x1, y1, x2, y2 = k1.real, k1.imag, k2.real, k2.imag
         key = (x1 - math.remainder(x1, WVEC_TOL), y1 - math.remainder(y1, WVEC_TOL),
                x2 - math.remainder(x2, WVEC_TOL), y2 - math.remainder(y2, WVEC_TOL))
+        if a is not t.amplitude or k1 is not t.wavevector[0] or k2 is not t.wavevector[1]:
+            t = ExpLinearTerm(a, frame, (k1, k2))  # complex(z) is z for a Python complex z
         groups.setdefault(key, []).append(t)
     out = [g[0] for g in groups.values() if len(g) == 1 and not (prune and g[0].amplitude == 0)]
     for group in (g for g in groups.values() if len(g) > 1):
@@ -248,42 +240,49 @@ def _cells(x: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _merge_sorted(re, im, wv, frame: str):
+def _merge_sorted(re, im, wv, frame: str) -> tuple[ExpLinearTerm, ...]:
     """_merge on columns: finite amplitudes re + i im and wavevectors whose
-    (x1, y1, x2, y2) are the rows of wv.  One lexsort puts each cell's terms
-    together, smallest wavevector first; a group of more than one takes
-    math.fsum of its parts as _merge does.  Returns None where a sum or a
-    magnitude overflows, so that _merge can raise the error at its own
-    first group."""
+    (x1, y1, x2, y2) are the rows of wv, in the order _merge would meet
+    them.  One lexsort puts each cell's terms together, smallest wavevector
+    first; a group of more than one takes math.fsum of its parts as _merge
+    does.  A group's sum is exactly rounded, and whether a group overflows
+    does not depend on the order of its parts, so only an error needs
+    _merge's order."""
     keys = _cells(wv)
     order = np.lexsort((*wv[::-1], *keys[::-1]))
     keys = keys[:, order]
     first = np.flatnonzero(np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0))))
     size = np.diff(first, append=order.size)
-    re, im = re[order], im[order]
-    total_re, total_im, rep = re[first], im[first], wv[:, order[first]]
+    total_re, total_im, rep = re[order[first]], im[order[first]], wv[:, order[first]]
     keep = (total_re != 0.0) | (total_im != 0.0)
     many = np.flatnonzero(size > 1)
     if many.size:
         rep[:, many] += 0.0  # as _merge's + 0j: a tied zero component may carry either sign
         mag = np.hypot(re, im)  # Python's abs(complex) is hypot too
-        if not np.isfinite(mag).all():
-            return None
-        re_l, im_l, mag_l = re.tolist(), im.tolist(), mag.tolist()
+        re_l, im_l, mag_l = re[order].tolist(), im[order].tolist(), mag[order].tolist()
+        overflow = np.zeros(first.size, dtype=bool)
         for g, a, b in zip(many.tolist(), first[many].tolist(), (first + size)[many].tolist()):
             try:
                 total = complex(math.fsum(re_l[a:b]), math.fsum(im_l[a:b]))
-                keep[g] = abs(total) > AMP_TOL * math.fsum(mag_l[a:b])
+                mass = math.fsum(mag_l[a:b])  # inf where a part's abs overflows
+                keep[g] = abs(total) > AMP_TOL * mass
+                total_re[g], total_im[g] = total.real, total.imag
             except OverflowError:
-                return None
-            total_re[g], total_im[g] = total.real, total.imag
+                mass = math.inf
+            overflow[g] = mass == math.inf
+        if overflow.any():  # _merge raises on the first of these groups that it meets
+            parts = np.sort(order[np.repeat(overflow, size)])
+            _merge(_terms(re[parts], im[parts], wv[:, parts], frame), frame)
     kept = np.flatnonzero(keep)
     kept = kept[np.lexsort(rep[::-1, kept])]
-    return tuple(
-        ExpLinearTerm(complex(a, b), frame, (complex(x1, y1), complex(x2, y2)))
-        for a, b, x1, y1, x2, y2 in zip(total_re[kept].tolist(), total_im[kept].tolist(),
-                                        *rep[:, kept].tolist())
-    )
+    return _terms(total_re[kept].tolist(), total_im[kept].tolist(), rep[:, kept].tolist(), frame)
+
+
+def _terms(re, im, wv, frame: str) -> tuple[ExpLinearTerm, ...]:
+    """The terms re + i im at wavevectors whose (x1, y1, x2, y2) are the
+    rows of wv."""
+    return tuple(ExpLinearTerm(complex(a, b), frame, (complex(x1, y1), complex(x2, y2)))
+                 for a, b, x1, y1, x2, y2 in zip(re, im, *wv))
 
 
 def _eigenvalues(frame: str, k1, k2):
@@ -335,85 +334,78 @@ class _Pairs:
         denom = x + 0.0 * ratio
         return _Pairs((self.re + self.im * ratio) / denom, (self.im - self.re * ratio) / denom)
 
-    def exp(self) -> "_Pairs":
-        """np.exp, which gives cmath.exp's bits wherever cmath.exp takes its
-        unscaled branch (real part up to about 708.4)."""
+    def exp(self, what: str | None = None) -> "_Pairs":
+        """_exp(phase, what) elementwise in C order, with its results and bits:
+        np.exp where the exponent is finite with real part up to 708 (it has
+        cmath.exp's bits on that unscaled branch, to about 708.4), _exp elsewhere."""
         z = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
         z.real, z.imag = self.re, self.im
-        z = np.exp(z)
-        return _Pairs(z.real, z.imag)
+        w = np.exp(z)
+        edge = np.flatnonzero(~(np.isfinite(z) & (z.real <= 708.0)))
+        w.flat[edge] = [_exp(phase, what) for phase in z.flat[edge].tolist()]
+        return _Pairs(w.real, w.imag)
 
 
-def _exp(phase, what: str):
-    """cmath.exp(phase), or a ValidationError saying that `what` overflows."""
+def _exp(phase, what: str | None = None):
+    """cmath.exp(phase); where that overflows, a ValidationError saying that
+    `what` overflows, or nan without `what`."""
     try:
         return cmath.exp(phase)
     except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
+        if what is None:
+            return complex(math.nan, math.nan)
         raise ValidationError(f"{what} exp({phase:.6g}) overflows") from exc
 
 
-def _pair(kernel, frame: str, left, right, exp):
+def _pair(kernel, frame: str, left, right, what: str | None = "star_wave: the pair factor"):
     """One pair step of a product, on terms (amplitude, k1, k2) given as
     complex numbers or as _Pairs that broadcast: the amplitude product times
-    exp(K_ab d_a e_b) when kernel is K, the summed wavevector and the pair
-    exponent (None without a kernel); d and e are the two terms'
-    _eigenvalues, and exp is the function that takes the exponent.  The one
+    exp(K_ab d_a e_b) when kernel is K, taken by _exp(exponent, what), and
+    the summed wavevector; d and e are the two terms' _eigenvalues.  The one
     writer of the pair step's operation order, and so of its bits."""
     (a, s1, s2), (b, t1, t2) = left, right
-    amplitude, exponent = a * b, None
+    amplitude = a * b
     if kernel is not None:
         k11, k12, k21, k22 = kernel
         (d1, d2), (e1, e2) = _eigenvalues(frame, s1, s2), _eigenvalues(frame, t1, t2)
         exponent = k11 * d1 * e1 + k12 * d1 * e2 + k21 * d2 * e1 + k22 * d2 * e2
-        amplitude = amplitude * exp(exponent)
-    return amplitude, (s1 + t1, s2 + t2), exponent
+        factor = exponent.exp(what) if isinstance(exponent, _Pairs) else _exp(exponent, what)
+        amplitude = amplitude * factor
+    return amplitude, (s1 + t1, s2 + t2)
 
 
 def _columns(terms, shape):
     """The amplitudes and both wavevector components of terms as _Pairs of
-    the given shape, or None if a value is not a Python complex (an int or
-    float keeps its own arithmetic in the scalar loop)."""
-    values = [v for t in terms for v in (t.amplitude, *t.wavevector)]
-    if not all(type(v) is complex for v in values):
-        return None
-    c = np.array(values, dtype=complex).reshape(-1, 3)
+    the given shape."""
+    c = np.array([v for t in terms for v in (t.amplitude, *t.wavevector)], dtype=complex).reshape(-1, 3)
     return tuple(_Pairs(c[:, j].real.reshape(shape), c[:, j].imag.reshape(shape)) for j in range(3))
 
 
 def _scalar_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     """_product one pair at a time, s in f outermost."""
     right = [(t.amplitude, *t.wavevector) for t in g.terms]
-    factor = lambda phase: _exp(phase, "star_wave: the pair factor")
     out = []
     for s in f.terms:
         left = (s.amplitude, *s.wavevector)
         for t in right:
-            amplitude, wavevector, _ = _pair(kernel, f.frame, left, t, factor)
+            amplitude, wavevector = _pair(kernel, f.frame, left, t)
             out.append(ExpLinearTerm(amplitude, f.frame, wavevector))
     return WaveSum(tuple(out), f.frame)
 
 
-def _array_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum | None:
+def _array_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     """_scalar_product's bits on _Pairs arrays (f along axis 0), merged by
-    _merge_sorted.  None where the scalar loop must run, so that each error
-    keeps its text and its first failing pair: a value that is not a Python
-    complex, a pair exponent whose real part is not finite or passes 708
-    (where np.exp stops matching cmath.exp), a pair term that is not finite,
-    or a merged amplitude that overflows."""
+    _merge_sorted, or the error the loop raises first: the first pair
+    factor that overflows (C order, f outermost), then the first pair term
+    that is not finite, then the first merged group that overflows."""
     left, right = _columns(f.terms, (-1, 1)), _columns(g.terms, (1, -1))
-    if left is None or right is None:
-        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        amplitude, (k1, k2), exponent = _pair(kernel, f.frame, left, right, _Pairs.exp)
-        if exponent is not None and not (np.isfinite(exponent.re).all()
-                                         and (exponent.re <= 708.0).all()):
-            return None
+        amplitude, (k1, k2) = _pair(kernel, f.frame, left, right)
         wv = np.stack([k1.re, k1.im, k2.re, k2.im]).reshape(4, -1)
         re, im = amplitude.re.ravel(), amplitude.im.ravel()
-        if not (np.isfinite(wv).all() and np.isfinite(re).all() and np.isfinite(im).all()):
-            return None
-        terms = _merge_sorted(re, im, wv, f.frame)
-    return None if terms is None else WaveSum._canonical(terms, f.frame)
+        bad = np.flatnonzero(~(np.isfinite(wv).all(axis=0) & np.isfinite(re) & np.isfinite(im)))[:1]
+        _merge(_terms(re[bad], im[bad], wv[:, bad], f.frame), f.frame)  # raises there, if anywhere
+        return WaveSum._canonical(_merge_sorted(re, im, wv, f.frame), f.frame)
 
 
 def _product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
@@ -421,9 +413,7 @@ def _product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     the star pair factor exp(K_ab d_a e_b) when kernel is K, and wavevectors
     add.  From _ARRAY_PAIRS pairs on the pairs are formed as arrays."""
     if len(f.terms) * len(g.terms) >= _ARRAY_PAIRS:
-        merged = _array_product(f, g, kernel)
-        if merged is not None:
-            return merged
+        return _array_product(f, g, kernel)
     return _scalar_product(f, g, kernel)
 
 
@@ -626,8 +616,8 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
     position_roi_amplitude or coherent_roi_amplitude gives point by point.
     That scalar function runs at the first point before the batch, which
     must match it there, and wherever it may raise or take another branch
-    (amp not finite or exactly 0, a pair exponent whose real part passes
-    708), in grid order, so the first point that fails raises its error.
+    (amp not finite, as where the pair factor overflows, or exactly 0), in
+    grid order, so the first point that fails raises its error.
     An empty grid, like a scalar walk over no points, checks nothing.
     """
     if which not in ("position", "coherent"):
@@ -657,10 +647,10 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
                 bra = (weight, -1j * s * p.conjugate(), -1j * s * p)
                 ket = (weight, 1j * s * p.conjugate(), 1j * s * p)
                 plane = lambda a: a * 4.0 * math.pi / (2.0 * t)
-            value, _, exponent = _pair(star_kernel(frame, params), frame, bra, ket, _Pairs.exp)
+            value, _ = _pair(star_kernel(frame, params), frame, bra, ket, what=None)
             value = plane(value)
             amp.real, amp.imag = value.re, value.im
-            rerun = ~np.isfinite(amp) | (amp == 0) | (exponent.re > 708.0)
+            rerun = ~np.isfinite(amp) | (amp == 0)
         except ValidationError:  # an input overflows: the scalar walk says where
             rerun = np.ones(amp.size, dtype=bool)
     if not rerun[0] and repr(first) != repr(complex(amp[0])):

@@ -37,6 +37,7 @@ from genstar.exprio import (
     run_scenario,
     tokenize,
 )
+from genstar.exprio import cli
 from genstar.exprio.cli import main
 from genstar.exprio.report import CSV_HEADER
 from genstar.exprio.scenario import prepare_task
@@ -460,6 +461,10 @@ def test_task_kind_defaults_are_pinned(kind, options, prepared):
         ("task fock-check n=2049", "line 1: fock-check needs n >= 2 and n <= 2048"),
         ("task verify-all suites=roi,bogus", "line 1: task verify-all option suites: unknown suite 'bogus'"),
         ("task coherent-roi grid=1:2", "line 1: task coherent-roi option grid: bad grid '1:2'"),
+        # count^2 grid points stay within the bound on fock-check's n^2 entries
+        ("task position-roi grid=-1:1:2049", "grid: bad grid '-1:1:2049'; need count <= 2048"),
+        ("task position-roi grid=-1:1:100000000", "bad grid '-1:1:100000000'; need count <= 2048"),
+        ("task coherent-roi grid=-1e308:1e308:2", "bad grid '-1e308:1e308:2'; need count <= 2048 and max - min"),
         ("task fock-check z=x1", "line 1: task fock-check option z: bad complex literal 'x1'"),
         ("task position-roi tol=abc", "line 1: task position-roi option tol: tol = 'abc' is not a valid float"),
         ('task eval expr="x1^1e400"', "line 1: task eval option expr: exponent must be a non-negative integer"),
@@ -820,6 +825,22 @@ def test_cli_exit_codes_for_golden_scenarios(capsys):
     assert main(["run", str(SCENARIO_DIR / "voros_coherent_pass.scn"), "--format", "text"]) == 0
     assert main(["run", str(SCENARIO_DIR / "generic_phi_finding.scn"), "--format", "text"]) == 1
     capsys.readouterr()
+
+
+def test_cli_grid_past_the_array_bound_is_error(capsys):
+    assert main(["kernel", "position", "--preset", "moyal", "--grid=-1:1:100000000"]) == 2
+    assert main(["kernel", "coherent", "--grid=-1e308:1e308:2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("bad grid") == 2 and "Warning" not in err
+
+
+def test_cli_out_of_memory_is_error_not_finding(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate_expression", exhausted)
+    assert main(["eval", "(exp(i*x1)+exp(i*x2)+1)^200"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_cli_missing_scenario_is_error(capsys):

@@ -16,6 +16,7 @@ from genstar import (
     Polynomial2,
     SingularParameterError,
     ValidationError,
+    WaveSum,
     make_params,
     preset_params,
     star_commutator,
@@ -48,6 +49,21 @@ def test_constructor_rejects_bad_exponents():
         Polynomial2({(-1, 0): 1.0})
     with pytest.raises(ValidationError):
         Polynomial2({(0.5, 0): 1.0})
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: Polynomial2({(0, 0): "x"}), "a polynomial coefficient needs complex numbers"),
+    (lambda: Polynomial2({(0,): 1}), "exponents must be non-negative integers"),
+    (lambda: Polynomial2.constant("x"), "a polynomial coefficient needs complex numbers"),
+    (lambda: Polynomial2.constant(10**400), "a polynomial coefficient needs complex numbers"),
+    (lambda: X1 * "x", "a polynomial coefficient needs complex numbers"),
+    (lambda: X1 + None, "a polynomial coefficient needs complex numbers"),
+    (lambda: WaveSum.plane_wave(0, 0) * "x", "a wave term needs complex numbers"),
+    (lambda: WaveSum.plane_wave(10**400, 0), "a wave term needs complex numbers"),
+])
+def test_values_that_are_not_numbers_are_validation_errors(build, text):
+    with pytest.raises(ValidationError, match=text):
+        build()
 
 
 def test_constructor_rejects_nonfinite_coefficients():

@@ -32,6 +32,7 @@ from genstar import (
     star_wave,
     tmap_wave,
 )
+from genstar import wavestar
 from genstar.deformation import star_kernel
 from genstar.exprio import evaluate_expression, parse_expression
 from genstar.suites import random_params, random_wavesum
@@ -310,16 +311,17 @@ def test_array_path_matches_the_scalar_loop_bit_for_bit():
         f, g = WaveSum(tuple(fterms), frame), WaveSum(tuple(gterms), frame)
         assert repr(_array_product(f, g, kernel).terms) == want
     # a pair exponent of 709 takes cmath.exp's scaled branch, which np.exp
-    # does not match: that product goes back to the loop
+    # does not match: the array path takes cmath.exp there
     voros = preset_params("voros", 1.0)
     rest = sum((WaveSum.plane_wave(k, 0.0, 0.5) for k in range(10, 20)), WaveSum.zero())
     f, g = WaveSum.plane_wave(-2j, 0) + rest, WaveSum.plane_wave(-709j, 0) + rest
     kernel = star_kernel("cartesian", voros)
-    assert _array_product(f, g, kernel) is None
+    assert repr(_array_product(f, g, kernel).terms) == repr(_scalar_product(f, g, kernel).terms)
     assert repr(star_wave(f, g, voros).terms) == repr(_scalar_product(f, g, kernel).terms)
-    # a term built with ints keeps the loop's int arithmetic and its repr
+    # a term built with ints is stored as complex, so both paths take complex arithmetic
     ints = WaveSum(tuple(ExpLinearTerm(1, "cartesian", (k, 0)) for k in range(10)))
-    assert _array_product(ints, ints) is None
+    assert all(type(v) is complex for t in ints.terms for v in (t.amplitude, *t.wavevector))
+    assert repr(_array_product(ints, ints).terms) == repr(_scalar_product(ints, ints).terms)
     assert repr(ints.pointwise_mul(ints).terms) == repr(_scalar_product(ints, ints).terms)
     # the last case: where +1 and -1 meet equally often, a cell cancels and goes
     cells = {(s.wavevector[0] + t.wavevector[0], s.wavevector[1] + t.wavevector[1])
@@ -344,16 +346,105 @@ def test_array_path_raises_the_scalar_loop_error():
         (origin * 1e308 + one * 1e308, origin + one, None, "amplitudes overflow"),
         # they cancel, but each part's magnitude overflows
         (origin * big - one * big, origin + one, None, "amplitudes overflow"),
+        # the parts of cell (20, 7) overflow fsum in the loop's order (f outermost);
+        # sorted by wavevector they would sum, and abs of the sum would overflow
+        (WaveSum.plane_wave(0, 0, 1.3e308 + 1.3e308j) + WaveSum.plane_wave(10, 5, 1.3e308)
+         + WaveSum.plane_wave(20, 7, -1.3e308),
+         WaveSum.plane_wave(-3e-10, 0) + WaveSum.plane_wave(10 + 3e-10, 2) + WaveSum.plane_wave(20, 7),
+         None, "overflow: intermediate overflow in fsum"),
+        # cells (2100, 100) and (1200, 100) overflow, differently: the loop meets
+        # (2100, 100) first, at the pair (0, 100) + (2100, 0)
+        (WaveSum.plane_wave(0, 100, 1.7e308) + WaveSum.plane_wave(1000, 100, 1.3e308)
+         + WaveSum.plane_wave(1100, 100, 1.3e308j),
+         WaveSum.plane_wave(100, 0) + WaveSum.plane_wave(200, 0) + WaveSum.plane_wave(1100, 0, 0.1)
+         + WaveSum.plane_wave(2100, 0),
+         None, "overflow: intermediate overflow in fsum"),
     ]
     for f, g, k, text in cases:
         f, g = f + rest, g + rest
         assert len(f.terms) * len(g.terms) >= _ARRAY_PAIRS
-        assert _array_product(f, g, k) is None
+        with pytest.raises(ValidationError) as array:
+            _array_product(f, g, k)
         with pytest.raises(ValidationError, match=text) as want:
             _scalar_product(f, g, k)
+        assert str(array.value) == str(want.value)
         with pytest.raises(ValidationError) as got:
             star_wave(f, g, voros) if k is not None else f.pointwise_mul(g)
         assert str(got.value) == str(want.value)
+
+
+#: per kind, the (real, imaginary) pools of the amplitudes and of the
+#: wavevector components of the edge-case sums
+_EDGE_POOLS = {
+    # amplitudes near 1e154 square to near the float limit: merged cells overflow,
+    # some only in the order in which the loop meets their parts
+    "huge": (([1.2e154, -1.2e154, 1e154, -1e154, 1e100, 1.0], [0.0, -0.0, 1.0, 1e154]),
+             ([0.0, -0.0, 1.0, 1.0 + 3e-10, 1.0 - 3e-10, -1.0, 2.0], [0.0, -0.0])),
+    # at theta = 1 the pair exponents of these components land on both sides of 708-710
+    "edge": (([1.0, -0.5, 0.0], [0.0, -0.0, 0.5]),
+             ([0.0, -0.0, 1.0, 37.66, -37.7], [0.0, -0.0, -37.62, -37.64, -37.67, -37.7, -37.73, -26.6])),
+    # wavevectors near 1e154: pair exponents with an infinite part and a finite one
+    "wide": (([1.0, -1.0, 0.5], [0.0, -0.0, 1.0]),
+             ([1.3e154, -1.3e154, 1e153, 2.0, 0.0, -0.0], [0.0, -0.0, 1e153])),
+}
+
+
+def _edge_value(rng, pools):
+    """A value from the (real, imaginary) pools: a complex, an int or a
+    numeric string."""
+    x, y = (float(rng.choice(pool)) for pool in pools)
+    r = rng.random()
+    if r < 0.1 and x.is_integer() and y == 0.0:
+        return int(x)
+    if r < 0.15:
+        return repr(complex(x, y))
+    return complex(x, y)
+
+
+def _edge_sum(rng, frame, kind):
+    """A sum of 1-12 terms of one _EDGE_POOLS kind."""
+    amplitudes, components = _EDGE_POOLS[kind]
+    terms = [ExpLinearTerm(_edge_value(rng, amplitudes), frame,
+                           (_edge_value(rng, components), _edge_value(rng, components)))
+             for _ in range(int(rng.integers(1, 13)))]
+    return WaveSum(tuple(terms), frame)
+
+
+#: the loop's three errors, in the order it raises them
+_ERRORS = ("the pair factor", "is not finite", "merged wave amplitudes overflow")
+
+
+def _outcome(thunk):
+    try:
+        return repr(thunk().terms)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+def test_array_path_gives_the_scalar_loops_terms_or_first_error():
+    """The array path against the loop, which stays its oracle, on huge
+    amplitudes whose merged cells overflow, pair exponents in (708, 709.78]
+    and past it, infinite exponent parts, signed zeros, ints and numeric
+    strings; test_array_path_raises_the_scalar_loop_error has the cases
+    where the loop's order of groups and of parts decides the error."""
+    rng = np.random.default_rng(30)
+    seen = set()
+    for case in range(1500):
+        frame = ("cartesian", "complex")[case % 2]
+        kind = tuple(_EDGE_POOLS)[case // 2 % 3]
+        try:
+            f, g = _edge_sum(rng, frame, kind), _edge_sum(rng, frame, kind)
+        except ValidationError:  # a sum's own terms merge past the float range
+            continue
+        if f.is_zero or g.is_zero:  # 0 pairs are below _ARRAY_PAIRS: the array path never sees them
+            continue
+        params = (preset_params("voros", 1.0), preset_params("moyal", 40.0),
+                  make_params(float(rng.uniform(0.5, 40.0)), 0.3 + 0.2j, -0.1j, 0.5))[case // 6 % 3]
+        for kernel in (None, star_kernel(frame, params)):
+            want = _outcome(lambda: _scalar_product(f, g, kernel))
+            assert _outcome(lambda: _array_product(f, g, kernel)) == want
+            seen.add(next((e for e in _ERRORS if e in want), "terms"))
+    assert seen == {"terms", *_ERRORS}
 
 
 def test_pointwise_power_has_the_multinomial_amplitudes():
@@ -665,6 +756,23 @@ def test_roi_diagonal_raises_the_scalar_error_at_the_first_failing_point():
                  lambda: coherent_momentum_overlap(0, 1.7e308 + 1.7e308j, 1.0)):
         with pytest.raises(ValidationError, match=r"overflows at \|p\| = inf"):
             call()
+
+
+def test_roi_diagonal_calls_the_scalar_function_only_where_it_must(monkeypatch):
+    # the Voros pair factor exp(theta |p|^2 / 2) overflows from |p| = 37.68: the
+    # batch leaves it nan there, and only the first such point is rerun
+    calls = []
+    scalar = wavestar.coherent_roi_amplitude
+
+    def counted(params, p, pprime):
+        calls.append(p)
+        return scalar(params, p, pprime)
+
+    monkeypatch.setattr(wavestar, "coherent_roi_amplitude", counted)
+    with pytest.raises(ValidationError) as info:
+        roi_diagonal("coherent", preset_params("voros", 1.0), np.linspace(0, 30, 300))
+    assert str(info.value) == "star_wave: the pair factor exp(711.662+0j) overflows"
+    assert len(calls) == 2 and calls[0] == 0 and abs(calls[1]) > 37.68
 
 
 def test_roi_diagonal_raises_the_first_points_scalar_error_before_the_batch():
