@@ -46,6 +46,8 @@ def _finite_complex(name: str, value) -> complex:
         z = complex(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a complex number, got {value!r}") from exc
+    except OverflowError as exc:  # an int past the float range, too long to print
+        raise ValidationError(f"{name} must be finite, got an int past the float range") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return z
@@ -60,6 +62,8 @@ def _finite_real(name: str, value) -> float:
         x = float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from exc
+    except OverflowError as exc:  # an int past the float range, too long to print
+        raise ValidationError(f"{name} must be finite, got an int past the float range") from exc
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return x

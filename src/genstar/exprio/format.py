@@ -62,9 +62,9 @@ def format_wavesum(ws: WaveSum) -> str:
     names = _FRAME_VARIABLES[ws.frame]
     parts = []
     # the exponent's coefficients are the derivative eigenvalues; the
-    # terms arrive sorted by wavevector
-    for t in ws.terms:
-        coeffs = _eigenvalues(ws.frame, *t.wavevector)
+    # rows arrive sorted by wavevector
+    for a, k1, k2 in ws.rows:
+        coeffs = _eigenvalues(ws.frame, k1, k2)
         exp_parts = []
         for c, name in zip(coeffs, names):
             if c == 0:
@@ -74,12 +74,12 @@ def format_wavesum(ws: WaveSum) -> str:
                 exp_parts.append(name)
             else:
                 exp_parts.append(f"{lit}*{name}")
-        amp = format_complex(t.amplitude)
+        amp = format_complex(a)
         if not exp_parts:
             parts.append(amp)
             continue
         body = "exp(" + _signed_join(exp_parts) + ")"
-        parts.append(body if t.amplitude == 1 else f"{amp}*{body}")
+        parts.append(body if a == 1 else f"{amp}*{body}")
     return _signed_join(parts)
 
 

@@ -145,7 +145,8 @@ def _suite_names(text: str) -> tuple[str, ...]:
 
 def prepare_task(kind: str, options: dict[str, str], line: int) -> Task:
     """Check a task's options against its kind in TASKS and convert each,
-    defaults included."""
+    defaults included.  Line 0 is the command line: an option that fails
+    there is named by its flag."""
     if kind not in TASKS:
         raise ScenarioError(f"line {line}: unknown task kind {kind!r}; expected one of {tuple(TASKS)}")
     spec = TASKS[kind][0]
@@ -157,7 +158,7 @@ def prepare_task(kind: str, options: dict[str, str], line: int) -> Task:
         text = options.get(key, default)
         if text is REQUIRED:
             raise ScenarioError(f"line {line}: task {kind} needs {key}=...")
-        where = f"line {line}: task {kind} option {key}"
+        where = f"line {line}: task {kind} option {key}" if line else f"--{key}"
         prepared[key] = None if text is None else _convert(convert, key, text, where)
     if kind == "fock-check" and not 2 <= prepared["n"] <= _MAX_SIDE:
         raise ScenarioError(f"line {line}: fock-check needs n >= 2 and n <= {_MAX_SIDE}")

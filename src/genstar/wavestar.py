@@ -27,12 +27,14 @@ weights from _coherent_state, and takes them through that step, so every
 amplitude has the bits of the scalar *_roi_amplitude functions, which stay
 the reference and handle the points where they raise or give 0.
 
-Every WaveSum is canonical, by one rule (``_merge``): each term's amplitude
-and wavevector are stored as Python complex numbers, terms whose
-wavevector components fall in the same WVEC_TOL cells merge, each group's
-amplitude is the exactly rounded sum of its parts, a group is dropped only
-when it cancels to within AMP_TOL of the mass that went into it, and the
-terms are sorted by wavevector.  The result does not depend on term order.
+A WaveSum stores rows (amplitude, k1, k2) of Python complex numbers; the
+constructor, plane_wave and z_exponential take ExpLinearTerms, and
+WaveSum.terms builds them on each read.  Every WaveSum is canonical, by one
+rule (``_merge``): terms whose wavevector components fall in the same
+WVEC_TOL cells merge, each group's amplitude is the exactly rounded sum of
+its parts, a group is dropped only when it cancels to within AMP_TOL of the
+mass that went into it, and the rows are sorted by wavevector.  The result
+does not depend on term order.
 
 star_wave and pointwise_mul take one of two paths by the pair count n*m,
 and both give the same bits and raise the same first error.  Below
@@ -55,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import (
+    _MAX_TENSOR,
     CARTESIAN,
     COMPLEX,
     FRAMES,
@@ -107,29 +110,44 @@ class ExpLinearTerm:
         return self.amplitude * cmath.exp(a * v1 + b * v2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WaveSum:
     """Finite sum of exponential-linear terms sharing one frame.
 
-    The terms are merged, pruned and sorted on construction (see the module
-    docstring); the empty sum is the zero function.
+    Built from ExpLinearTerms, stored as rows (amplitude, k1, k2) of Python
+    complex numbers, merged, pruned and sorted (see the module docstring);
+    terms is a view of the rows.  The empty sum is the zero function.
     """
 
-    terms: tuple[ExpLinearTerm, ...]
-    frame: str = CARTESIAN
+    rows: tuple[tuple[complex, complex, complex], ...]
+    frame: str
 
-    def __post_init__(self):
-        if self.frame not in FRAMES:
-            raise ValidationError(f"unknown frame {self.frame!r}")
-        object.__setattr__(self, "terms", _merge(self.terms, self.frame))
+    def __init__(self, terms, frame: str = CARTESIAN):
+        if frame not in FRAMES:
+            raise ValidationError(f"unknown frame {frame!r}")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "rows", _merge(self._row(t) for t in terms))
+
+    def _row(self, t: ExpLinearTerm) -> tuple:
+        if t.frame != self.frame:
+            raise FrameMismatchError(f"term frame {t.frame!r} does not match sum frame {self.frame!r}")
+        try:
+            k1, k2 = t.wavevector
+        except (TypeError, ValueError):
+            raise ValidationError(f"a wave term's wavevector must be a pair, got {t.wavevector!r}") from None
+        return _complex("a wave term", t.amplitude), _complex("a wave term", k1), _complex("a wave term", k2)
 
     @classmethod
-    def _canonical(cls, terms: tuple[ExpLinearTerm, ...], frame: str) -> "WaveSum":
-        """A sum of terms that _merge_sorted has merged, pruned and sorted."""
+    def _canonical(cls, rows: tuple, frame: str) -> "WaveSum":
+        """A sum of rows that _merge or _merge_sorted has merged, pruned and sorted."""
         w = object.__new__(cls)
-        object.__setattr__(w, "terms", terms)
+        object.__setattr__(w, "rows", rows)
         object.__setattr__(w, "frame", frame)
         return w
+
+    @property
+    def terms(self) -> tuple[ExpLinearTerm, ...]:
+        return tuple(ExpLinearTerm(a, self.frame, (k1, k2)) for a, k1, k2 in self.rows)
 
     @classmethod
     def zero(cls, frame: str = CARTESIAN) -> "WaveSum":
@@ -147,21 +165,18 @@ class WaveSum:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def __add__(self, other: "WaveSum") -> "WaveSum":
         if not isinstance(other, WaveSum):
             return NotImplemented
         if other.frame != self.frame:
             raise FrameMismatchError(f"cannot add {self.frame!r} and {other.frame!r} sums")
-        return WaveSum(self.terms + other.terms, self.frame)
+        return WaveSum._canonical(_merge(self.rows + other.rows), self.frame)
 
     def __mul__(self, scalar) -> "WaveSum":
         c = _complex("a wave term", scalar)
-        return WaveSum(
-            tuple(ExpLinearTerm(t.amplitude * c, t.frame, t.wavevector) for t in self.terms),
-            self.frame,
-        )
+        return WaveSum._canonical(_merge((a * c, k1, k2) for a, k1, k2 in self.rows), self.frame)
 
     __rmul__ = __mul__
 
@@ -181,22 +196,18 @@ class WaveSum:
         return sum((t.evaluate(v1, v2) for t in self.terms), 0j)
 
 
-def _order(t: ExpLinearTerm) -> tuple[float, float, float, float]:
-    k1, k2 = t.wavevector
-    return (k1.real, k1.imag, k2.real, k2.imag)
+def _order(row: tuple) -> tuple[float, float, float, float]:
+    return (row[1].real, row[1].imag, row[2].real, row[2].imag)
 
 
-def _merge(terms, frame: str, prune: bool = True) -> tuple[ExpLinearTerm, ...]:
-    """The one place wave terms are checked, converted, matched, summed and
-    pruned, by the rule in the module docstring (_merge_sorted applies the
-    same rule to the array path's pairs); prune=False keeps every group.
-    Terms must be in `frame` with finite amplitudes and wavevectors."""
-    groups: dict[tuple, list[ExpLinearTerm]] = {}
-    for t in terms:
-        if t.frame != frame:
-            raise FrameMismatchError(f"term frame {t.frame!r} does not match sum frame {frame!r}")
-        a, (k1, k2) = t.amplitude, t.wavevector
-        a, k1, k2 = _complex("a wave term", a), _complex("a wave term", k1), _complex("a wave term", k2)
+def _merge(rows, prune: bool = True) -> tuple[tuple[complex, complex, complex], ...]:
+    """The one place wave rows (amplitude, k1, k2) of Python complex numbers
+    are checked, matched, summed and pruned, by the rule in the module
+    docstring (_merge_sorted applies the same rule to the array path's
+    pairs); prune=False keeps every group."""
+    groups: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        a, k1, k2 = row
         if not (cmath.isfinite(a) and cmath.isfinite(k1) and cmath.isfinite(k2)):
             raise ValidationError(f"wave term {a!r} at wavevector {(k1, k2)!r} is not finite")
         # x - remainder(x, WVEC_TOL) is x snapped to its cell n * WVEC_TOL; remainder is
@@ -204,21 +215,18 @@ def _merge(terms, frame: str, prune: bool = True) -> tuple[ExpLinearTerm, ...]:
         x1, y1, x2, y2 = k1.real, k1.imag, k2.real, k2.imag
         key = (x1 - math.remainder(x1, WVEC_TOL), y1 - math.remainder(y1, WVEC_TOL),
                x2 - math.remainder(x2, WVEC_TOL), y2 - math.remainder(y2, WVEC_TOL))
-        if a is not t.amplitude or k1 is not t.wavevector[0] or k2 is not t.wavevector[1]:
-            t = ExpLinearTerm(a, frame, (k1, k2))  # complex(z) is z for a Python complex z
-        groups.setdefault(key, []).append(t)
-    out = [g[0] for g in groups.values() if len(g) == 1 and not (prune and g[0].amplitude == 0)]
+        groups.setdefault(key, []).append(row)
+    out = [g[0] for g in groups.values() if len(g) == 1 and not (prune and g[0][0] == 0)]
     for group in (g for g in groups.values() if len(g) > 1):
         try:
-            total = complex(math.fsum(t.amplitude.real for t in group),
-                            math.fsum(t.amplitude.imag for t in group))
-            if prune and abs(total) <= AMP_TOL * math.fsum(abs(t.amplitude) for t in group):
+            total = complex(math.fsum(r[0].real for r in group), math.fsum(r[0].imag for r in group))
+            if prune and abs(total) <= AMP_TOL * math.fsum(abs(r[0]) for r in group):
                 continue
         except OverflowError as exc:
             raise ValidationError(f"merged wave amplitudes overflow: {exc}") from exc
-        k1, k2 = min(group, key=_order).wavevector
+        _, k1, k2 = min(group, key=_order)
         # + 0j: tied wavevectors may differ in the sign of a zero component
-        out.append(ExpLinearTerm(total, frame, (k1 + 0j, k2 + 0j)))
+        out.append((total, k1 + 0j, k2 + 0j))
     out.sort(key=_order)
     return tuple(out)
 
@@ -240,7 +248,7 @@ def _cells(x: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _merge_sorted(re, im, wv, frame: str) -> tuple[ExpLinearTerm, ...]:
+def _merge_sorted(re, im, wv) -> tuple[tuple[complex, complex, complex], ...]:
     """_merge on columns: finite amplitudes re + i im and wavevectors whose
     (x1, y1, x2, y2) are the rows of wv, in the order _merge would meet
     them.  One lexsort puts each cell's terms together, smallest wavevector
@@ -272,17 +280,18 @@ def _merge_sorted(re, im, wv, frame: str) -> tuple[ExpLinearTerm, ...]:
             overflow[g] = mass == math.inf
         if overflow.any():  # _merge raises on the first of these groups that it meets
             parts = np.sort(order[np.repeat(overflow, size)])
-            _merge(_terms(re[parts], im[parts], wv[:, parts], frame), frame)
+            _merge(_rows(re[parts], im[parts], wv[:, parts]))
     kept = np.flatnonzero(keep)
     kept = kept[np.lexsort(rep[::-1, kept])]
-    return _terms(total_re[kept].tolist(), total_im[kept].tolist(), rep[:, kept].tolist(), frame)
+    return _rows(total_re[kept], total_im[kept], rep[:, kept])
 
 
-def _terms(re, im, wv, frame: str) -> tuple[ExpLinearTerm, ...]:
-    """The terms re + i im at wavevectors whose (x1, y1, x2, y2) are the
-    rows of wv."""
-    return tuple(ExpLinearTerm(complex(a, b), frame, (complex(x1, y1), complex(x2, y2)))
-                 for a, b, x1, y1, x2, y2 in zip(re, im, *wv))
+def _rows(re, im, wv) -> tuple[tuple[complex, complex, complex], ...]:
+    """The rows (re + i im, x1 + i y1, x2 + i y2), (x1, y1, x2, y2) the rows
+    of wv, set without arithmetic: each value has complex(a, b)'s bits."""
+    c = np.empty((3, re.size), dtype=complex)
+    c[0].real, c[0].imag, c[1:].real, c[1:].imag = re, im, wv[0::2], wv[1::2]
+    return tuple(zip(*c.tolist()))
 
 
 def _eigenvalues(frame: str, k1, k2):
@@ -361,8 +370,8 @@ def _pair(kernel, frame: str, left, right, what: str | None = "star_wave: the pa
     """One pair step of a product, on terms (amplitude, k1, k2) given as
     complex numbers or as _Pairs that broadcast: the amplitude product times
     exp(K_ab d_a e_b) when kernel is K, taken by _exp(exponent, what), and
-    the summed wavevector; d and e are the two terms' _eigenvalues.  The one
-    writer of the pair step's operation order, and so of its bits."""
+    the summed wavevector, as a row; d and e are the two terms' _eigenvalues.
+    The one writer of the pair step's operation order, and so of its bits."""
     (a, s1, s2), (b, t1, t2) = left, right
     amplitude = a * b
     if kernel is not None:
@@ -371,26 +380,19 @@ def _pair(kernel, frame: str, left, right, what: str | None = "star_wave: the pa
         exponent = k11 * d1 * e1 + k12 * d1 * e2 + k21 * d2 * e1 + k22 * d2 * e2
         factor = exponent.exp(what) if isinstance(exponent, _Pairs) else _exp(exponent, what)
         amplitude = amplitude * factor
-    return amplitude, (s1 + t1, s2 + t2)
+    return amplitude, s1 + t1, s2 + t2
 
 
-def _columns(terms, shape):
-    """The amplitudes and both wavevector components of terms as _Pairs of
-    the given shape."""
-    c = np.array([v for t in terms for v in (t.amplitude, *t.wavevector)], dtype=complex).reshape(-1, 3)
+def _columns(rows, shape):
+    """The amplitudes and both wavevector components of rows as _Pairs."""
+    c = np.array(rows, dtype=complex)
     return tuple(_Pairs(c[:, j].real.reshape(shape), c[:, j].imag.reshape(shape)) for j in range(3))
 
 
 def _scalar_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     """_product one pair at a time, s in f outermost."""
-    right = [(t.amplitude, *t.wavevector) for t in g.terms]
-    out = []
-    for s in f.terms:
-        left = (s.amplitude, *s.wavevector)
-        for t in right:
-            amplitude, wavevector = _pair(kernel, f.frame, left, t)
-            out.append(ExpLinearTerm(amplitude, f.frame, wavevector))
-    return WaveSum(tuple(out), f.frame)
+    pairs = [_pair(kernel, f.frame, s, t) for s in f.rows for t in g.rows]
+    return WaveSum._canonical(_merge(pairs), f.frame)
 
 
 def _array_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
@@ -398,21 +400,25 @@ def _array_product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     _merge_sorted, or the error the loop raises first: the first pair
     factor that overflows (C order, f outermost), then the first pair term
     that is not finite, then the first merged group that overflows."""
-    left, right = _columns(f.terms, (-1, 1)), _columns(g.terms, (1, -1))
+    left, right = _columns(f.rows, (-1, 1)), _columns(g.rows, (1, -1))
     with np.errstate(over="ignore", invalid="ignore"):
-        amplitude, (k1, k2) = _pair(kernel, f.frame, left, right)
+        amplitude, k1, k2 = _pair(kernel, f.frame, left, right)
         wv = np.stack([k1.re, k1.im, k2.re, k2.im]).reshape(4, -1)
         re, im = amplitude.re.ravel(), amplitude.im.ravel()
         bad = np.flatnonzero(~(np.isfinite(wv).all(axis=0) & np.isfinite(re) & np.isfinite(im)))[:1]
-        _merge(_terms(re[bad], im[bad], wv[:, bad], f.frame), f.frame)  # raises there, if anywhere
-        return WaveSum._canonical(_merge_sorted(re, im, wv, f.frame), f.frame)
+        _merge(_rows(re[bad], im[bad], wv[:, bad]))  # raises there, if anywhere
+        return WaveSum._canonical(_merge_sorted(re, im, wv), f.frame)
 
 
 def _product(f: WaveSum, g: WaveSum, kernel=None) -> WaveSum:
     """Every pair of f's and g's terms, merged: amplitudes multiply, times
     the star pair factor exp(K_ab d_a e_b) when kernel is K, and wavevectors
-    add.  From _ARRAY_PAIRS pairs on the pairs are formed as arrays."""
-    if len(f.terms) * len(g.terms) >= _ARRAY_PAIRS:
+    add.  From _ARRAY_PAIRS pairs on the pairs are formed as arrays; more
+    than _MAX_TENSOR pairs raise ValidationError before any is formed."""
+    n, m = len(f.rows), len(g.rows)
+    if n * m > _MAX_TENSOR:
+        raise ValidationError(f"a product of {n} and {m} terms needs more than {_MAX_TENSOR} pairs")
+    if n * m >= _ARRAY_PAIRS:
         return _array_product(f, g, kernel)
     return _scalar_product(f, g, kernel)
 
@@ -438,19 +444,18 @@ def tmap_wave(f: WaveSum, params: DeformationParams) -> WaveSum:
     overflows raises ValidationError."""
     if f.frame != CARTESIAN:
         raise FrameMismatchError("the equivalence map acts on cartesian plane waves")
-    out = []
-    for t in f.terms:
-        factor = _exp(-0.25j * params.phi_quadratic(*t.wavevector), "tmap_wave: the factor")
-        out.append(ExpLinearTerm(t.amplitude * factor, CARTESIAN, t.wavevector))
-    return WaveSum(tuple(out), CARTESIAN)
+    out = [(a * _exp(-0.25j * params.phi_quadratic(k1, k2), "tmap_wave: the factor"), k1, k2)
+           for a, k1, k2 in f.rows]
+    return WaveSum._canonical(_merge(out), CARTESIAN)
 
 
 def max_amplitude_diff(f: WaveSum, g: WaveSum) -> float:
     """Largest |amplitude| of f - g per wavevector cell, before pruning;
     a term without a partner contributes its full magnitude."""
-    negated = tuple(ExpLinearTerm(-t.amplitude, t.frame, t.wavevector) for t in g.terms)
-    merged = _merge(f.terms + negated, f.frame, prune=False)
-    return max((abs(t.amplitude) for t in merged), default=0.0)
+    if g.frame != f.frame:
+        raise FrameMismatchError(f"term frame {g.frame!r} does not match sum frame {f.frame!r}")
+    merged = _merge(f.rows + tuple((-a, k1, k2) for a, k1, k2 in g.rows), prune=False)
+    return max((abs(a) for a, _, _ in merged), default=0.0)
 
 
 def equivalence_residual(f: WaveSum, g: WaveSum, params: DeformationParams) -> float:
@@ -465,7 +470,7 @@ def equivalence_residual(f: WaveSum, g: WaveSum, params: DeformationParams) -> f
     moyal = params.moyal()
     lhs = tmap_wave(star_wave(f, g, moyal), params)
     rhs = star_wave(tmap_wave(f, params), tmap_wave(g, params), params)
-    scale = max([1.0] + [abs(t.amplitude) for t in lhs.terms + rhs.terms])
+    scale = max([1.0] + [abs(a) for a, _, _ in lhs.rows + rhs.rows])
     return max_amplitude_diff(lhs, rhs) / scale
 
 
@@ -481,13 +486,13 @@ class DeltaTerm:
     freq: tuple[float, float]
 
 
-def _single_term(f: WaveSum, name: str) -> ExpLinearTerm:
-    if len(f.terms) != 1:
+def _single_row(f: WaveSum, name: str) -> tuple[complex, complex, complex]:
+    if len(f.rows) != 1:
         raise ValidationError(
-            f"{name} needs a one-term sum, got {len(f.terms)} terms (a term whose "
+            f"{name} needs a one-term sum, got {len(f.rows)} terms (a term whose "
             f"amplitude is exactly 0, for example after an underflow, is dropped)"
         )
-    return f.terms[0]
+    return f.rows[0]
 
 
 def plane_integral_cartesian(f: WaveSum) -> DeltaTerm:
@@ -499,13 +504,10 @@ def plane_integral_cartesian(f: WaveSum) -> DeltaTerm:
     """
     if f.frame != CARTESIAN:
         raise FrameMismatchError("plane_integral_cartesian expects a cartesian sum")
-    t = _single_term(f, "plane_integral_cartesian")
-    k1, k2 = t.wavevector
+    a, k1, k2 = _single_row(f, "plane_integral_cartesian")
     if abs(k1.imag) > IMAG_TOL or abs(k2.imag) > IMAG_TOL:
-        raise DivergentIntegralError(
-            f"plane integral of exp(i k.x) diverges for complex k = {t.wavevector!r}"
-        )
-    return DeltaTerm(t.amplitude * TWO_PI**2, (k1.real, k2.real))
+        raise DivergentIntegralError(f"plane integral of exp(i k.x) diverges for complex k = {(k1, k2)!r}")
+    return DeltaTerm(a * TWO_PI**2, (k1.real, k2.real))
 
 
 def plane_integral_z(f: WaveSum) -> DeltaTerm:
@@ -517,15 +519,12 @@ def plane_integral_z(f: WaveSum) -> DeltaTerm:
     """
     if f.frame != COMPLEX:
         raise FrameMismatchError("plane_integral_z expects a complex-frame sum")
-    t = _single_term(f, "plane_integral_z")
-    a, b = t.wavevector
+    amplitude, a, b = _single_row(f, "plane_integral_z")
     u_freq = -1j * (a + b)  # exponent along Re z is i * u_freq
     v_freq = a - b  # exponent along Im z is i * v_freq
     if abs(u_freq.imag) > IMAG_TOL or abs(v_freq.imag) > IMAG_TOL:
-        raise DivergentIntegralError(
-            f"plane integral of exp(a z + b zbar) diverges for (a, b) = {t.wavevector!r}"
-        )
-    return DeltaTerm(t.amplitude * 4.0 * math.pi, (u_freq.real, v_freq.real))
+        raise DivergentIntegralError(f"plane integral of exp(a z + b zbar) diverges for (a, b) = {(a, b)!r}")
+    return DeltaTerm(amplitude * 4.0 * math.pi, (u_freq.real, v_freq.real))
 
 
 # -- state overlaps and resolution-of-identity amplitudes ----------------
@@ -647,8 +646,7 @@ def roi_diagonal(which: str, params: DeformationParams, values) -> tuple[np.ndar
                 bra = (weight, -1j * s * p.conjugate(), -1j * s * p)
                 ket = (weight, 1j * s * p.conjugate(), 1j * s * p)
                 plane = lambda a: a * 4.0 * math.pi / (2.0 * t)
-            value, _ = _pair(star_kernel(frame, params), frame, bra, ket, what=None)
-            value = plane(value)
+            value = plane(_pair(star_kernel(frame, params), frame, bra, ket, what=None)[0])
             amp.real, amp.imag = value.re, value.im
             rerun = ~np.isfinite(amp) | (amp == 0)
         except ValidationError:  # an input overflows: the scalar walk says where

@@ -11,13 +11,17 @@ from genstar import (
     CARTESIAN,
     COMPLEX,
     DeformationParams,
+    ExpLinearTerm,
     Polynomial2,
     SingularParameterError,
     ValidationError,
     WaveSum,
     coherent_momentum_overlap,
+    coherent_roi_amplitude,
+    coherent_vector,
     make_params,
     momentum_state_op,
+    overlap_px,
     preset_params,
     quantum_ops,
     star_kernel,
@@ -25,6 +29,7 @@ from genstar import (
     to_cartesian_frame,
     to_complex_frame,
 )
+from genstar.fockspace import QuantumOps
 
 small_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -267,3 +272,30 @@ THETA_GATED = {
 def test_theta_gate_rejects_nonpositive_and_non_numbers(name, theta, error):
     with pytest.raises(error, match="theta"):
         THETA_GATED[name](theta)
+
+
+#: an int past the float range, or a term whose wavevector is not a pair,
+#: as the argument of each entry point that converts it
+_HUGE = 2**1100
+_BAD_NUMBERS = {
+    "make_params": (lambda: make_params(_HUGE), "theta must be finite, got an int past the float range"),
+    "make_params-phi11": (lambda: make_params(1.0, phi11=_HUGE), "phi11 must be finite, got an int"),
+    "preset_params": (lambda: preset_params("voros", _HUGE), "theta must be finite, got an int"),
+    "coherent_roi_amplitude": (lambda: coherent_roi_amplitude(preset_params("voros", 1.0), _HUGE, 0),
+                               "p must be finite, got an int"),
+    "momentum_state_op": (lambda: momentum_state_op(_HUGE, 1.0, 8), "p must be finite, got an int"),
+    "overlap_px": (lambda: overlap_px((_HUGE, 0), (0, 0)), r"p\[0\] must be finite, got an int"),
+    "coherent_vector": (lambda: coherent_vector(_HUGE, 8), "z must be finite, got an int"),
+    "QuantumOps": (lambda: QuantumOps(_HUGE, 8), "theta must be finite, got an int"),
+    **{f"wavevector-{v!r}": ((lambda v=v: WaveSum((ExpLinearTerm(1.0, CARTESIAN, v),))),
+                             "wavevector must be a pair")
+       for v in [(1,), (1, 2, 3), 5, None]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_NUMBERS))
+def test_huge_ints_and_bad_wavevectors_are_validation_errors(name):
+    call, message = _BAD_NUMBERS[name]
+    with pytest.raises(ValidationError, match=message) as exc:
+        call()
+    assert len(str(exc.value)) < 200  # the int's 332 digits are not printed

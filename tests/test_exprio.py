@@ -927,8 +927,13 @@ def test_cli_kernel_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsy
     code = main(["kernel", "position", "--preset", "moyal", f"--tol={tol}"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: line 0: task position-roi option tol:")
+    assert captured.err.startswith("error: --tol:")
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_kernel_names_a_bad_flag_by_its_flag(capsys):
+    assert main(["kernel", "position", "--grid=bad"]) == 2
+    assert capsys.readouterr().err == "error: --grid: bad grid 'bad'; expected min:max:count\n"
 
 
 @pytest.mark.parametrize("which, preset", [("position", "moyal"), ("coherent", "voros")])

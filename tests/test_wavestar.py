@@ -63,6 +63,24 @@ def test_equal_wavevectors_merge():
     assert [t.wavevector[0] for t in w.terms] == [below, huge]
 
 
+def test_sums_store_rows_and_build_terms_on_demand():
+    # a list wavevector is stored as a row like a tuple one, so the sum hashes
+    listed = WaveSum((ExpLinearTerm(1j, "cartesian", [1j, 2j]),))
+    assert hash(listed) == hash(WaveSum((ExpLinearTerm(1j, "cartesian", (1j, 2j)),)))
+    assert listed == WaveSum((ExpLinearTerm(1j, "cartesian", (1j, 2j)),))
+    assert listed.rows == ((1j, 1j, 2j),) and listed.terms[0].wavevector == (1j, 2j)
+    # the constructor reads its terms once: a generator gives the same sum as a tuple
+    ws = random_wavesum(np.random.default_rng(6)) + WaveSum.plane_wave(0.5, -1.5, 2j)
+    assert WaveSum(t for t in ws.terms) == WaveSum(tuple(ws.terms)) == ws
+    assert WaveSum(ws.terms, ws.frame) == ws
+    z = WaveSum.z_exponential(1j, 2.0)
+    assert WaveSum(z.terms, z.frame) == z
+    with pytest.raises(FrameMismatchError):
+        max_amplitude_diff(ws, z)
+    with pytest.raises(FrameMismatchError):
+        max_amplitude_diff(ws, WaveSum.zero("complex"))
+
+
 def test_cancelling_terms_leave_zero():
     w = WaveSum.plane_wave(1.0, 0.0, 1.0) - WaveSum.plane_wave(1.0, 0.0, 1.0)
     assert w.is_zero
@@ -460,6 +478,14 @@ def test_pointwise_power_has_the_multinomial_amplitudes():
         assert c >= 0
         assert t.amplitude == math.factorial(20) // (
             math.factorial(a) * math.factorial(b) * math.factorial(c))
+
+
+def test_wave_product_past_the_pair_bound_is_refused_before_any_pair():
+    # the square of (..)^64's 2,145 terms needs 4,601,025 pairs, above _MAX_TENSOR
+    text = "(exp(i*x1)+exp(i*x2)+1)^200"
+    with pytest.raises(ValidationError) as exc:
+        evaluate_expression(parse_expression(text), preset_params("moyal", 1.0))
+    assert str(exc.value) == "a product of 2145 and 2145 terms needs more than 4194304 pairs"
 
 
 # -- equivalence map ---------------------------------------------------------
