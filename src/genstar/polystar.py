@@ -10,9 +10,10 @@ exp(w d_i d_j) is the array shifted by k along axes i and j, times
 star product runs it on the tensor f(x) g(y) and sums that tensor into
 (a1 + b1, a2 + b2) to set y = x (`_contract`).  The kernel works on stacks,
 a last axis of polynomials zero-padded to one box, each with its own
-weights; a single call is a batch of one.  The powers w^k / k! are
-Python complex scalars, one run per weight and element (numpy's complex
-product rounds differently), so a batch of one keeps its bits.
+weights; a single call is a batch of one, and the suites run theirs in
+`_batches`.  The powers w^k / k! are Python complex scalars, one run per
+weight and element (numpy's complex product rounds differently), so a
+batch of one keeps its bits.
 
 The falling factorials are integers, exact below 2^53, that meet w^k / k!
 only in the scale, so all terms of one power k share its rounding and
@@ -39,6 +40,7 @@ from .deformation import (
     _MAX_TENSOR,
     DeformationParams,
     _complex,
+    _finite_complex,
     _positive_theta,
     star_kernel,
 )
@@ -86,7 +88,10 @@ class Polynomial2:
             if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 0 or n2 < 0:
                 raise ValidationError(f"exponents must be non-negative integers, got {key!r}")
             clean[int(n1), int(n2)] = _complex("a polynomial coefficient", coeff)
-        c = np.zeros(tuple(max(n) + 1 for n in zip(*clean)) or (1, 1), dtype=complex)
+        box = tuple(max(n) + 1 for n in zip(*clean)) or (1, 1)
+        if math.prod(box) > _MAX_TENSOR:  # the exponents may have too many digits to print
+            raise ValidationError(f"these exponents need a box of more than {_MAX_TENSOR} coefficients")
+        c = np.zeros(box, dtype=complex)
         for key, value in clean.items():
             c[key] = value
         self._store(c, frame)
@@ -117,7 +122,7 @@ class Polynomial2:
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial2":
-        if name not in _VARIABLES:
+        if not isinstance(name, str) or name not in _VARIABLES:
             raise ValidationError(f"unknown variable {name!r}; expected one of {sorted(_VARIABLES)}")
         frame, key = _VARIABLES[name]
         return cls({key: 1.0 + 0j}, frame)
@@ -146,7 +151,7 @@ class Polynomial2:
         return int((n1 + n2).max()) if n1.size else -1
 
     def evaluate(self, v1, v2) -> complex:
-        v1, v2 = complex(v1), complex(v2)
+        v1, v2 = _finite_complex("v1", v1), _finite_complex("v2", v2)
         return sum((c * v1**n1 * v2**n2 for (n1, n2), c in self.items()), 0j)
 
     # -- arithmetic -----------------------------------------------------
@@ -247,8 +252,10 @@ def _canonical(c: np.ndarray) -> np.ndarray:
 
 def _stack(polys) -> np.ndarray:
     """The polynomials' arrays along a last axis, zero-padded to one box."""
-    box = np.zeros(tuple(np.max([p._c.shape for p in polys], axis=0)))
-    return np.stack([_sum(p._c, box) for p in polys], axis=-1)
+    out = np.zeros(tuple(map(max, zip(*(p._c.shape for p in polys)))) + (len(polys),), dtype=complex)
+    for n, p in enumerate(polys):
+        out[: len(p._c), : p._c.shape[1], n] = p._c
+    return out
 
 
 def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -413,21 +420,27 @@ def star_commutator(f: Polynomial2, g: Polynomial2, params: DeformationParams) -
     return Polynomial2._from_array(_commutator(*_batch_of_one(f, g, params))[..., 0], f.frame)
 
 
-_LAW_BATCH = 16  # most triples in one _law_errors batch: about 0.5 MiB per tensor at degree 4
+_BATCH = 16  # most items in one batch: about 0.5 MiB per tensor at degree 4
+
+
+def _batches(items, entries):
+    """(params, cartesian kernels, a _stack per polys position) of runs of the
+    (params, *polys) items: at most _BATCH items, and _MAX_TENSOR entries if an
+    item's tensor has entries(d) for boxes of side <= d (or one item a run)."""
+    d = max((max(p._c.shape) for _, *polys in items for p in polys), default=1)
+    size = max(1, min(_BATCH, _MAX_TENSOR // entries(d)))
+    for n in range(0, len(items), size):
+        params, *polys = zip(*items[n : n + size])
+        yield params, list(zip(*(star_kernel(CARTESIAN, p) for p in params))), [_stack(p) for p in polys]
 
 
 def _law_errors(triples) -> tuple[list[float], ...]:
     """Associativity, antisymmetry, Jacobi and Leibniz errors of each cartesian
     (params, f, g, h), each law step run once per batch on zero-padded stacks.
     A step stars a product of two boxes of side <= d with a third, (2d - 1)^2 d^2
-    entries per triple, so a batch stays within _MAX_TENSOR."""
-    d = max((max(p._c.shape) for _, *polys in triples for p in polys), default=1)
-    size = max(1, min(_LAW_BATCH, _MAX_TENSOR // ((2 * d - 1) ** 2 * d**2)))
+    entries per triple."""
     errors = ([], [], [], [])
-    for n in range(0, len(triples), size):
-        batch = triples[n : n + size]
-        kernel = list(zip(*(star_kernel(CARTESIAN, params) for params, *_ in batch)))
-        f, g, h = (_stack(polys) for polys in list(zip(*batch))[1:])
+    for _, kernel, (f, g, h) in _batches(triples, lambda d: (2 * d - 1) ** 2 * d**2):
 
         def star(a, b, op=_star):
             return _canonical(op(a, b, kernel))
@@ -444,6 +457,12 @@ def _law_errors(triples) -> tuple[list[float], ...]:
     return errors
 
 
+def _tmap_weights(params) -> tuple:
+    """The terms (w, i, j) of exp((i/4) Phi_ij d_i d_j), w one weight per params."""
+    p11, p12, p22 = zip(*((p.phi11, p.phi12, p.phi22) for p in params))
+    return ([0.25j * w for w in p11], 0, 0), ([0.5j * w for w in p12], 0, 1), ([0.25j * w for w in p22], 1, 1)
+
+
 @_quiet
 def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """The equivalence map exp((i/4) Phi_ij d_i d_j) applied to f; exact.
@@ -453,9 +472,7 @@ def tmap_poly(f: Polynomial2, params: DeformationParams) -> Polynomial2:
     """
     if f.frame != CARTESIAN:
         raise FrameMismatchError("the equivalence map acts on cartesian polynomials")
-    weights = (((0.25j * params.phi11,), 0, 0), ((0.5j * params.phi12,), 0, 1),
-               ((0.25j * params.phi22,), 1, 1))
-    return Polynomial2._from_array(_exp_operator(f._c[..., None], weights)[..., 0], CARTESIAN)
+    return Polynomial2._from_array(_exp_operator(f._c[..., None], _tmap_weights([params]))[..., 0], CARTESIAN)
 
 
 def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: DeformationParams) -> float:
@@ -467,6 +484,32 @@ def poly_equivalence_residual(f: Polynomial2, g: Polynomial2, params: Deformatio
     rhs = star_poly(tmap_poly(f, params), tmap_poly(g, params), params)
     scale = max(1.0, float(np.abs(lhs._c).max()), float(np.abs(rhs._c).max()))
     return lhs.max_diff(rhs) / scale
+
+
+@_quiet
+def _equivalence_errors(pairs) -> list[float]:
+    """poly_equivalence_residual of each cartesian (params, f, g): the first
+    pair through that function itself, as roi_diagonal's first point, the
+    rest once per batch on zero-padded stacks, d^4 entries per pair."""
+    errors = [poly_equivalence_residual(f, g, params) for params, f, g in pairs[:1]]
+    for params, kernel, (f, g) in _batches(pairs[1:], lambda d: d**4):
+        tmap, moyal = _tmap_weights(params), list(zip(*(star_kernel(CARTESIAN, p.moyal()) for p in params)))
+        lhs = _canonical(_exp_operator(_canonical(_star(f, g, moyal)), tmap))
+        rhs = _canonical(_star(*(_canonical(_exp_operator(a, tmap)) for a in (f, g)), kernel))
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(0, 1)), np.abs(rhs).max(axis=(0, 1))))
+        errors.extend((_max_diff(lhs, rhs) / scale).tolist())
+    return errors
+
+
+def _commutator_errors(params) -> list[float]:
+    """max |[x1, x2] - i theta| under each params: the first through star_commutator
+    itself, as roi_diagonal's first point, the rest once per batch."""
+    x1, x2 = Polynomial2.variable("x1"), Polynomial2.variable("x2")
+    errors = [star_commutator(x1, x2, p).max_diff(Polynomial2.constant(1j * p.theta)) for p in params[:1]]
+    for batch, kernel, (a, b) in _batches([(p, x1, x2) for p in params[1:]], lambda d: d**4):
+        theta = np.array([[[1j * p.theta for p in batch]]])
+        errors.extend(_max_diff(_canonical(_commutator(a, b, kernel)), theta).tolist())
+    return errors
 
 
 def xhat_apply(mu: int, f: Polynomial2, params: DeformationParams) -> Polynomial2:

@@ -2,7 +2,8 @@
 
 Each suite replays the engine's central identities at pinned tolerances
 on seeded random instances and reports the worst error seen, so a run is
-reproducible bit for bit given (seed, trials).
+reproducible bit for bit given (seed, trials).  The polynomial checks run
+in batches on polystar's stack kernels, the roi checks on roi_diagonal's columns.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .deformation import COMPLEX, DeformationParams, make_params, preset_params, star_kernel
+from .deformation import CARTESIAN, COMPLEX, DeformationParams, make_params, preset_params, star_kernel
 from .errors import ValidationError
 from .fockspace import (
     FockOp,
@@ -24,8 +24,8 @@ from .fockspace import (
     overlap_vs_closedform,
     quantum_ops,
 )
-from .polystar import Polynomial2, _law_errors, poly_equivalence_residual, star_commutator
-from .wavestar import WaveSum, coherent_roi_amplitude, equivalence_residual, roi_diagonal
+from .polystar import Polynomial2, _commutator_errors, _equivalence_errors, _law_errors
+from .wavestar import ExpLinearTerm, WaveSum, coherent_roi_amplitude, equivalence_residual, roi_diagonal
 
 SUITE_NAMES = ("algebra", "equivalence", "roi", "fock")
 
@@ -55,13 +55,18 @@ class SuiteResult:
 
     @property
     def max_error(self) -> float:
-        return max((c.max_error for c in self.checks), default=0.0)
+        return _worst([c.max_error for c in self.checks])
+
+
+def _worst(errors) -> float:
+    """The largest of a sequence or array of errors: 0.0 for none, nan if any is."""
+    return float(np.max(np.asarray(errors, dtype=float), initial=0.0))
 
 
 def _check(name: str, errors, tolerance: float, detail: str = "") -> CheckResult:
-    """The worst of one check's per-trial errors (0.0 for none) against its
-    tolerance."""
-    worst = reduce(max, errors, 0.0)
+    """The worst of one check's per-trial errors against its tolerance; a nan
+    error fails."""
+    worst = _worst(errors)
     return CheckResult(name, worst, tolerance, worst <= tolerance, detail)
 
 
@@ -88,20 +93,14 @@ def random_polynomial(rng, max_degree: int = 4) -> Polynomial2:
     """Cartesian polynomial with 2 to 5 distinct monomials of degree <= max_degree."""
     exps = [(n1, n2) for n1 in range(max_degree + 1) for n2 in range(max_degree + 1 - n1)]
     picks = rng.choice(len(exps), size=rng.integers(2, 6), replace=False)
-    terms = {}
-    for idx in picks:
-        terms[exps[int(idx)]] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return Polynomial2(terms)
+    return Polynomial2({exps[int(idx)]: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for idx in picks})
 
 
 def random_wavesum(rng) -> WaveSum:
     """One to three plane waves, wavevector components in [-2, 2)."""
     n = int(rng.integers(1, 4))
-    out = WaveSum.zero()
-    for _ in range(n):
-        amp = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        out = out + WaveSum.plane_wave(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), amp)
-    return out
+    return WaveSum([ExpLinearTerm(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), CARTESIAN,
+                                  (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))) for _ in range(n)])
 
 
 # -- suites ----------------------------------------------------------------
@@ -116,12 +115,9 @@ def algebra_suite(seed: int = 0, trials: int | None = None) -> SuiteResult:
     commutator_params = [random_params(rng, theta=thetas[k % 3]) for k in range(commutator_trials)]
     triples = [(random_params(rng), random_polynomial(rng), random_polynomial(rng), random_polynomial(rng))
                for _ in range(law_trials)]
-    x1, x2 = Polynomial2.variable("x1"), Polynomial2.variable("x2")
     associativity, antisymmetry, jacobi, leibniz = _law_errors(triples)
     return SuiteResult("algebra", seed, (
-        _check("commutator-invariance",
-               (star_commutator(x1, x2, p).max_diff(Polynomial2.constant(1j * p.theta))
-                for p in commutator_params),
+        _check("commutator-invariance", _commutator_errors(commutator_params),
                1e-12, f"[x1, x2] = i theta over {commutator_trials} random Phi, theta in {thetas}"),
         _check("associativity", associativity, 1e-10, f"{law_trials} random triples, degree <= 4"),
         _check("antisymmetry", antisymmetry, 1e-10),
@@ -139,14 +135,13 @@ def equivalence_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
              for _ in range(trials)]
 
     def kernel_errors(preset, reduced):
-        for theta in (0.1, 0.5, 1.0, 2.0):
-            kernel = star_kernel(COMPLEX, preset_params(preset, theta))
-            yield max(abs(a - b) for a, b in zip(kernel, reduced))
+        kernels = (star_kernel(COMPLEX, preset_params(preset, theta)) for theta in (0.1, 0.5, 1.0, 2.0))
+        return [max(abs(a - b) for a, b in zip(kernel, reduced)) for kernel in kernels]
 
     return SuiteResult("equivalence", seed, (
-        _check("wave-equivalence", (equivalence_residual(f, g, p) for p, f, g in waves), 1e-12,
+        _check("wave-equivalence", [equivalence_residual(f, g, p) for p, f, g in waves], 1e-12,
                f"{trials} random plane-wave pairs, random complex Phi"),
-        _check("poly-equivalence", (poly_equivalence_residual(f, g, p) for p, f, g in polys), 1e-10,
+        _check("poly-equivalence", _equivalence_errors(polys), 1e-10,
                f"{trials} random polynomial pairs, degree <= 4"),
         _check("moyal-coefficients", kernel_errors("moyal", (0j, 0.5 + 0j, -0.5 + 0j, 0j)), 1e-15,
                "z-frame kernel reduces to (0, 1/2, -1/2, 0)"),
@@ -173,9 +168,10 @@ def _hope_amplitude(params: DeformationParams, p: complex, q: complex) -> comple
     return gauss * cmath.exp((1j / 8.0) * (c1 * qb * pb + c2 * pb * q + c3 * p * qb + c4 * q * p))
 
 
-def _diagonal(family: str, params: DeformationParams, grid) -> list[tuple[float, float, complex]]:
-    """roi_diagonal's (p1, p2, amplitude) columns as a list of points."""
-    return list(zip(*(column.tolist() for column in roi_diagonal(family, params, grid))))
+def _deviation(amp: np.ndarray, reference) -> np.ndarray:
+    """|amp - reference| elementwise, with abs(complex)'s bits (np.hypot)."""
+    diff = amp - reference
+    return np.hypot(diff.real, diff.imag)
 
 
 def roi_suite(seed: int = 0) -> SuiteResult:
@@ -188,30 +184,27 @@ def roi_suite(seed: int = 0) -> SuiteResult:
     moyal = preset_params("moyal", 1.0)
     voros = preset_params("voros", 1.0)
     non_moyal = (make_params(1.0, phi11=0.2, phi22=0.2), make_params(1.0, phi12=0.3), voros)
-    generic = [(params, _diagonal("position", params, grid)) for params in non_moyal]
-    least_deviation = min(reduce(max, (abs(amp - 1.0) for _, _, amp in points), 0.0)
-                          for _, points in generic)
+    generic = [(params, *roi_diagonal("position", params, grid)) for params in non_moyal]
+    least_deviation = min(_worst(_deviation(amp, 1.0)) for *_, amp in generic)
+    p1, p2, coherent_moyal = roi_diagonal("coherent", moyal, grid)
 
     return SuiteResult("roi", seed, (
-        _check("position-moyal-resolves",
-               (abs(amp - 1.0) for _, _, amp in _diagonal("position", moyal, grid)), 1e-12,
+        _check("position-moyal-resolves", _deviation(roi_diagonal("position", moyal, grid)[2], 1.0), 1e-12,
                "diagonal amplitude = 1 on 20x20 grid in [-2,2]^2"),
         _check("position-generic-amplitude",
-               (abs(amp - cmath.exp(0.5j * params.phi_quadratic(p1, p2)))
-                for params, points in generic for p1, p2, amp in points), 1e-12,
+               np.concatenate([_deviation(amp, np.exp(0.5j * params.phi_quadratic(q1, q2)))
+                               for params, q1, q2, amp in generic]), 1e-12,
                "diagonal amplitude = exp((i/2) Phi_ij p_i p_j) for 3 non-zero Phi; "
                f"each deviates from identity by >= {least_deviation:.3e} somewhere "
                "(non-resolution)"),
-        _check("coherent-voros-resolves",
-               (abs(amp - 1.0) for _, _, amp in _diagonal("coherent", voros, grid)), 1e-12,
+        _check("coherent-voros-resolves", _deviation(roi_diagonal("coherent", voros, grid)[2], 1.0), 1e-12,
                "diagonal amplitude = 1 on 20x20 grid"),
         _check("coherent-moyal-gaussian",
-               (abs(amp - math.exp(-moyal.theta * abs(complex(p1, p2)) ** 2 / 2.0))
-                for p1, p2, amp in _diagonal("coherent", moyal, grid)), 1e-12,
+               _deviation(coherent_moyal, np.exp(-moyal.theta * np.hypot(p1, p2) ** 2 / 2.0)), 1e-12,
                "diagonal amplitude = exp(-theta |p|^2 / 2) (non-resolution)"),
         _check("coherent-generic-closedform",
-               (abs(coherent_roi_amplitude(params, p, p) - _hope_amplitude(params, p, p))
-                for params, p in draws), 1e-12,
+               [abs(coherent_roi_amplitude(params, p, p) - _hope_amplitude(params, p, p))
+                for params, p in draws], 1e-12,
                "engine path agrees with direct closed-form substitution"),
     ))
 
@@ -228,15 +221,10 @@ def random_interior_state(rng, dim: int) -> FockOp:
 def _heisenberg_errors(theta: float, psi: FockOp) -> list[float]:
     """Entrywise error of [A, B] psi = c psi over the six (A, B, c)."""
     ops = quantum_ops(make_params(theta), psi.dim)
-    table = (
-        (ops.X1, ops.X2, 1j * theta),
-        (ops.X1, ops.P1, 1j),
-        (ops.X2, ops.P2, 1j),
-        (ops.P1, ops.P2, 0.0),
-        (ops.X1, ops.P2, 0.0),
-        (ops.X2, ops.P1, 0.0),
-    )
-    return [float(np.max(np.abs((a(b(psi)) - b(a(psi))).matrix - (c * psi).matrix)))
+    x1, x2, p1, p2 = ops.X1, ops.X2, ops.P1, ops.P2
+    applied = {op: op(psi) for op in (x1, x2, p1, p2)}  # each A psi once
+    table = ((x1, x2, 1j * theta), (x1, p1, 1j), (x2, p2, 1j), (p1, p2, 0.0), (x1, p2, 0.0), (x2, p1, 0.0))
+    return [float(np.max(np.abs((a(applied[b]) - b(applied[a])).matrix - (c * psi).matrix)))
             for a, b, c in table]
 
 
@@ -261,20 +249,20 @@ def fock_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
 
     return SuiteResult("fock", seed, (
         _check("overlap-closedform",
-               (overlap_vs_closedform(z, p, theta, dim).abs_error for z, p, theta in overlaps),
+               [overlap_vs_closedform(z, p, theta, dim).abs_error for z, p, theta in overlaps],
                1e-6, f"{trials} random (z, p), |z| <= 1, |p| <= 2, theta in (1, 2), N = {dim}"),
         # not _check: "each error at most 1.1 times the last, plus the floor" is not
         # the same float test as "excess <= 0"
         CheckResult("overlap-convergence",
-                    max(0.0, *(b - 1.1 * a - CONVERGENCE_FLOOR for a, b in steps)), 0.0,
+                    _worst([b - 1.1 * a - CONVERGENCE_FLOOR for a, b in steps]), 0.0,
                     all(b <= 1.1 * a + CONVERGENCE_FLOOR for a, b in steps),
                     "errors at N = 16, 32, 64: " + ", ".join(f"{e:.2e}" for e in errs)),
         _check("heisenberg-interior",
-               (e for theta, psi in states for e in _heisenberg_errors(theta, psi)), 1e-12,
+               [e for theta, psi in states for e in _heisenberg_errors(theta, psi)], 1e-12,
                "all six commutators on interior-supported states"),
         _check("coherent-overlap",
-               (abs(hs_inner(coherent_projector(zp, dim), coherent_projector(z, dim))
-                    - cmath.exp(-abs(z - zp) ** 2)) for z, zp in pairs), 1e-10,
+               [abs(hs_inner(coherent_projector(zp, dim), coherent_projector(z, dim))
+                    - cmath.exp(-abs(z - zp) ** 2)) for z, zp in pairs], 1e-10,
                "hs_inner of projectors = exp(-|z - z'|^2)"),
     ))
 

@@ -176,7 +176,7 @@ class WaveSum:
 
     def __mul__(self, scalar) -> "WaveSum":
         c = _complex("a wave term", scalar)
-        return WaveSum._canonical(_merge((a * c, k1, k2) for a, k1, k2 in self.rows), self.frame)
+        return WaveSum._canonical(_rescaled([(a * c, k1, k2) for a, k1, k2 in self.rows]), self.frame)
 
     __rmul__ = __mul__
 
@@ -193,6 +193,7 @@ class WaveSum:
         return _product(self, other)
 
     def evaluate(self, v1, v2) -> complex:
+        v1, v2 = _finite_complex("v1", v1), _finite_complex("v2", v2)
         return sum((t.evaluate(v1, v2) for t in self.terms), 0j)
 
 
@@ -229,6 +230,13 @@ def _merge(rows, prune: bool = True) -> tuple[tuple[complex, complex, complex], 
         out.append((total, k1 + 0j, k2 + 0j))
     out.sort(key=_order)
     return tuple(out)
+
+
+def _rescaled(rows: list) -> tuple[tuple[complex, complex, complex], ...]:
+    """_merge of a canonical sum's rows with new amplitudes, whose wavevectors keep
+    their cells and order: its error at the first non-finite one, exact zeros dropped."""
+    _merge([row for row in rows if not cmath.isfinite(row[0])][:1])  # raises there, if anywhere
+    return tuple(row for row in rows if row[0] != 0)
 
 
 def _cells(x: np.ndarray) -> np.ndarray:
@@ -446,7 +454,7 @@ def tmap_wave(f: WaveSum, params: DeformationParams) -> WaveSum:
         raise FrameMismatchError("the equivalence map acts on cartesian plane waves")
     out = [(a * _exp(-0.25j * params.phi_quadratic(k1, k2), "tmap_wave: the factor"), k1, k2)
            for a, k1, k2 in f.rows]
-    return WaveSum._canonical(_merge(out), CARTESIAN)
+    return WaveSum._canonical(_rescaled(out), CARTESIAN)
 
 
 def max_amplitude_diff(f: WaveSum, g: WaveSum) -> float:

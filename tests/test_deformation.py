@@ -274,8 +274,9 @@ def test_theta_gate_rejects_nonpositive_and_non_numbers(name, theta, error):
         THETA_GATED[name](theta)
 
 
-#: an int past the float range, or a term whose wavevector is not a pair,
-#: as the argument of each entry point that converts it
+#: an int past the float range, a term whose wavevector is not a pair, a
+#: coefficient box past _MAX_TENSOR or a point that is not a finite number, as
+#: the argument of each entry point that converts it
 _HUGE = 2**1100
 _BAD_NUMBERS = {
     "make_params": (lambda: make_params(_HUGE), "theta must be finite, got an int past the float range"),
@@ -290,6 +291,14 @@ _BAD_NUMBERS = {
     **{f"wavevector-{v!r}": ((lambda v=v: WaveSum((ExpLinearTerm(1.0, CARTESIAN, v),))),
                              "wavevector must be a pair")
        for v in [(1,), (1, 2, 3), 5, None]},
+    "Polynomial2-box": (lambda: Polynomial2({(10**6, 10**6): 1}), "a box of more than 4194304 coefficients"),
+    "Polynomial2-huge-exponent": (lambda: Polynomial2({(_HUGE, 0): 1}), "a box of more than"),
+    "Polynomial2.variable": (lambda: Polynomial2.variable([1, 2]), r"unknown variable \[1, 2\]"),
+    **{f"{kind}.evaluate-{name}": ((lambda f=f, v=v: f.evaluate(0, v)), f"v2 must be {text}")
+       for kind, f in (("Polynomial2", Polynomial2.variable("x2")), ("WaveSum", WaveSum.plane_wave(0, 1)))
+       for name, v, text in (("inf", float("inf"), "finite, got inf"), ("huge", _HUGE, "finite, got an int"),
+                             ("None", None, "a complex number, got None"),
+                             ("str", "x", "a complex number, got 'x'"))},
 }
 
 

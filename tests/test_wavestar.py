@@ -465,6 +465,36 @@ def test_array_path_gives_the_scalar_loops_terms_or_first_error():
     assert seen == {"terms", *_ERRORS}
 
 
+def test_scaling_and_the_equivalence_map_give_the_merged_rows_or_first_error():
+    """f * c and tmap_wave change amplitudes only and do not merge again:
+    against _merge of the same rows, on the edge-case sums, with scalars and
+    maps that keep, zero, underflow or overflow amplitudes."""
+    rng = np.random.default_rng(32)
+    seen = set()
+
+    def merged(frame, rows):
+        return lambda: WaveSum._canonical(wavestar._merge(list(rows)), frame)
+
+    for case in range(300):
+        frame = ("cartesian", "complex")[case % 2]
+        try:
+            f = _edge_sum(rng, frame, tuple(_EDGE_POOLS)[case // 2 % 3])
+        except ValidationError:
+            continue
+        params = make_params(1.0, *(complex(*rng.uniform(-3, 3, 2)) for _ in range(3)))
+        outcomes = [(_outcome(lambda: f * c), _outcome(merged(frame, ((a * c, k1, k2) for a, k1, k2 in f.rows))))
+                    for c in (1.0, -0.5 + 2j, 0.0, 5e-324, 1e300, math.inf)]
+        if frame == "cartesian":
+            factor = lambda k1, k2: wavestar._exp(-0.25j * params.phi_quadratic(k1, k2), "tmap_wave: the factor")
+            outcomes.append((_outcome(lambda: tmap_wave(f, params)),
+                             _outcome(merged(frame, ((a * factor(k1, k2), k1, k2) for a, k1, k2 in f.rows)))))
+        for got, want in outcomes:
+            assert got == want
+            dropped = not want.startswith("error") and want.count("ExpLinearTerm(") < len(f.rows)
+            seen.add("dropped" if dropped else next((e for e in _ERRORS + ("the factor",) if e in want), "terms"))
+    assert seen == {"terms", "dropped", "is not finite", "the factor"}
+
+
 def test_pointwise_power_has_the_multinomial_amplitudes():
     # by squaring, the last product has 15 x 153 = 2,295 pairs; every
     # multinomial 20!/(a! b! c!) is an integer below 2^53, exact in doubles
